@@ -55,8 +55,12 @@ Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
   {
     MGARDP_TRACE_SPAN("reconstruct/lossless", "progressive");
     std::vector<Status> decode_status(first_plane[L]);
-    ParallelFor(0, first_plane[L], 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t t = lo; t < hi; ++t) {
+    // Finest level first, as in Refactorer::Refactor: its planes are the
+    // largest, and leading chunks are striped across every thread.
+    const std::size_t num_tasks = first_plane[L];
+    ParallelFor(0, num_tasks, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t t = num_tasks - 1 - i;
         Result<std::string> payload = lossless::Decompress(compressed[t]);
         if (payload.ok()) {
           payloads[t] = std::move(payload).value();

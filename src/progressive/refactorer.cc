@@ -1,6 +1,9 @@
 #include "progressive/refactorer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
+#include <sstream>
 
 #include "decompose/decomposer.h"
 #include "decompose/interleaver.h"
@@ -11,6 +14,36 @@
 #include "util/parallel.h"
 
 namespace mgardp {
+
+namespace {
+
+// Values per chunk of the non-finite input scan.
+constexpr std::size_t kFiniteScanGrain = 1 << 16;
+
+// Nega-binary quantization has no representation for NaN or +-inf, so
+// such input is refused up front, naming the first offending index.
+Status CheckFinite(const std::vector<double>& values) {
+  const std::size_t first = ParallelReduce<std::size_t>(
+      0, values.size(), kFiniteScanGrain, values.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (!std::isfinite(values[i])) {
+            return i;
+          }
+        }
+        return values.size();
+      },
+      [](std::size_t a, std::size_t b) { return std::min(a, b); });
+  if (first == values.size()) {
+    return Status::OK();
+  }
+  std::ostringstream msg;
+  msg << "input value " << values[first] << " at index " << first
+      << " is not finite";
+  return Status::Invalid(msg.str());
+}
+
+}  // namespace
 
 Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
   MGARDP_TRACE_SPAN("refactor", "progressive");
@@ -24,6 +57,7 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
       lossless::FindCodecByName(options_.codec) == nullptr) {
     return Status::Invalid("unknown lossless codec '" + options_.codec + "'");
   }
+  MGARDP_RETURN_NOT_OK(CheckFinite(data.vector()));
   // Pad arbitrary extents to the next 2^k + 1 (edge replication); the
   // original extents travel in the metadata and reconstruction crops back.
   const Dims3 original_dims = data.dims();
@@ -53,6 +87,10 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
     Interleaver interleaver(hierarchy);
     levels = interleaver.Extract(data);
   }
+  // Peak memory: the grid and each level's coefficients are released as
+  // soon as their last reader is done, before the lossless fan-out's
+  // buffers land in the pool threads' allocator arenas.
+  data = Array3Dd();
 
   BitplaneEncoder encoder(options_.num_planes);
   const int L = hierarchy.num_levels();
@@ -64,7 +102,7 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
   // coefficients and planes, which balances better than the skewed level
   // sizes), collecting every plane payload; the lossless stage then fans
   // out across all (level, plane) pairs at once -- ~L x num_planes
-  // well-mixed tasks -- before the serial store pass.
+  // tasks, finest level first -- before the serial store pass.
   std::vector<BitplaneSet> sets(L);
   {
     MGARDP_TRACE_SPAN("refactor/encode", "progressive");
@@ -74,6 +112,7 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
       field.level_exponents[l] = sets[l].exponent;
       field.level_sketches[l] = AbsQuantileSketch(
           levels[l], static_cast<std::size_t>(options_.sketch_bins));
+      levels[l] = std::vector<double>();
     }
   }
   std::vector<std::size_t> first_plane(L + 1, 0);
@@ -85,12 +124,17 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
     MGARDP_TRACE_SPAN("refactor/lossless", "progressive");
     Status compress_status;
     std::mutex status_mu;
-    ParallelFor(0, first_plane[L], 1, [&](std::size_t lo, std::size_t hi) {
-      int l = 0;
-      for (std::size_t t = lo; t < hi; ++t) {
-        while (t >= first_plane[l + 1]) {
-          ++l;
-        }
+    // The finest level holds most of the bytes. Walking it first puts its
+    // planes in the leading chunks, which ParallelFor stripes across every
+    // thread instead of leaving them to the last one or two.
+    const std::size_t num_tasks = first_plane[L];
+    ParallelFor(0, num_tasks, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t t = num_tasks - 1 - i;
+        const int l = static_cast<int>(std::upper_bound(first_plane.begin(),
+                                                        first_plane.end(), t) -
+                                       first_plane.begin()) -
+                      1;
         Result<std::string> blob = lossless::CompressWith(
             sets[l].planes[t - first_plane[l]], options_.codec);
         if (blob.ok()) {

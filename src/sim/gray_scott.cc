@@ -1,6 +1,9 @@
 #include "sim/gray_scott.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mgardp {
@@ -49,31 +52,38 @@ void GrayScottSimulator::Step(int steps) {
     }
     return static_cast<std::size_t>(m);
   };
+  // Every point of the next state reads only the previous buffers, so
+  // x-slabs update independently across the pool, bit-identically for any
+  // thread count.
+  const std::size_t slab = d.ny * d.nz;
+  const std::size_t grain = std::max<std::size_t>(1, 2048 / slab);
   for (int s = 0; s < steps; ++s) {
-    for (std::size_t i = 0; i < d.nx; ++i) {
-      const std::size_t im = wrap(i, d.nx, -1), ip = wrap(i, d.nx, +1);
-      for (std::size_t j = 0; j < d.ny; ++j) {
-        const std::size_t jm = wrap(j, d.ny, -1), jp = wrap(j, d.ny, +1);
-        for (std::size_t k = 0; k < d.nz; ++k) {
-          const std::size_t km = wrap(k, d.nz, -1), kp = wrap(k, d.nz, +1);
-          const double u = u_(i, j, k);
-          const double v = v_(i, j, k);
-          double lap_u = -6.0 * u + u_(im, j, k) + u_(ip, j, k) +
-                         u_(i, jm, k) + u_(i, jp, k) + u_(i, j, km) +
-                         u_(i, j, kp);
-          double lap_v = -6.0 * v + v_(im, j, k) + v_(ip, j, k) +
-                         v_(i, jm, k) + v_(i, jp, k) + v_(i, j, km) +
-                         v_(i, j, kp);
-          const double uvv = u * v * v;
-          u_next_(i, j, k) =
-              u + params_.dt * (params_.du * lap_u - uvv +
-                                params_.feed * (1.0 - u));
-          v_next_(i, j, k) =
-              v + params_.dt * (params_.dv * lap_v + uvv -
-                                (params_.feed + params_.kill) * v);
+    ParallelFor(0, d.nx, grain, [&](std::size_t i_lo, std::size_t i_hi) {
+      for (std::size_t i = i_lo; i < i_hi; ++i) {
+        const std::size_t im = wrap(i, d.nx, -1), ip = wrap(i, d.nx, +1);
+        for (std::size_t j = 0; j < d.ny; ++j) {
+          const std::size_t jm = wrap(j, d.ny, -1), jp = wrap(j, d.ny, +1);
+          for (std::size_t k = 0; k < d.nz; ++k) {
+            const std::size_t km = wrap(k, d.nz, -1), kp = wrap(k, d.nz, +1);
+            const double u = u_(i, j, k);
+            const double v = v_(i, j, k);
+            double lap_u = -6.0 * u + u_(im, j, k) + u_(ip, j, k) +
+                           u_(i, jm, k) + u_(i, jp, k) + u_(i, j, km) +
+                           u_(i, j, kp);
+            double lap_v = -6.0 * v + v_(im, j, k) + v_(ip, j, k) +
+                           v_(i, jm, k) + v_(i, jp, k) + v_(i, j, km) +
+                           v_(i, j, kp);
+            const double uvv = u * v * v;
+            u_next_(i, j, k) =
+                u + params_.dt * (params_.du * lap_u - uvv +
+                                  params_.feed * (1.0 - u));
+            v_next_(i, j, k) =
+                v + params_.dt * (params_.dv * lap_v + uvv -
+                                  (params_.feed + params_.kill) * v);
+          }
         }
       }
-    }
+    });
     std::swap(u_, u_next_);
     std::swap(v_, v_next_);
     ++step_count_;

@@ -1,8 +1,10 @@
 #include "sim/warpx.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mgardp {
@@ -102,16 +104,21 @@ Array3Dd WarpXSimulator::Field(WarpXField field, int timestep) const {
   auto coord = [](std::size_t i, std::size_t n) -> double {
     return n == 1 ? 0.5 : static_cast<double>(i) / static_cast<double>(n - 1);
   };
-  for (std::size_t i = 0; i < dims_.nx; ++i) {
-    const double x = coord(i, dims_.nx);
-    for (std::size_t j = 0; j < dims_.ny; ++j) {
-      const double y = coord(j, dims_.ny);
-      for (std::size_t k = 0; k < dims_.nz; ++k) {
-        const double z = coord(k, dims_.nz);
-        out(i, j, k) = Evaluate(field, x, y, z, timestep);
+  // Points are independent evaluations; x-slabs fan out across the pool.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 2048 / (dims_.ny * dims_.nz));
+  ParallelFor(0, dims_.nx, grain, [&](std::size_t i_lo, std::size_t i_hi) {
+    for (std::size_t i = i_lo; i < i_hi; ++i) {
+      const double x = coord(i, dims_.nx);
+      for (std::size_t j = 0; j < dims_.ny; ++j) {
+        const double y = coord(j, dims_.ny);
+        for (std::size_t k = 0; k < dims_.nz; ++k) {
+          const double z = coord(k, dims_.nz);
+          out(i, j, k) = Evaluate(field, x, y, z, timestep);
+        }
       }
     }
-  }
+  });
   return out;
 }
 

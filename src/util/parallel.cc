@@ -218,19 +218,22 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
   const std::size_t n = end - begin;
   const std::size_t g = std::max<std::size_t>(grain, 1);
   ThreadPool& pool = GlobalThreadPool();
-  const std::size_t max_chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(pool.num_threads()),
-                            (n + g - 1) / g);
-  if (max_chunks <= 1) {
+  // Up to kChunksPerThread chunks per participant, so Run's round-robin
+  // stripes interleave the range: a call site whose expensive indices
+  // cluster at one end spreads them over every thread instead of handing
+  // them all to the last stripe. Each chunk keeps at least `grain`
+  // iterations (n / num_chunks >= g).
+  const std::size_t num_chunks = std::min<std::size_t>(
+      kChunksPerThread * static_cast<std::size_t>(pool.num_threads()), n / g);
+  if (num_chunks <= 1) {
     body(begin, end);
     return;
   }
   // Balanced partition: the first `rem` chunks get one extra iteration.
-  const std::size_t base = n / max_chunks;
-  const std::size_t rem = n % max_chunks;
-  pool.Run(max_chunks, [&](std::size_t c) {
-    const std::size_t lo =
-        begin + c * base + std::min(c, rem);
+  const std::size_t base = n / num_chunks;
+  const std::size_t rem = n % num_chunks;
+  pool.Run(num_chunks, [&](std::size_t c) {
+    const std::size_t lo = begin + c * base + std::min(c, rem);
     const std::size_t hi = lo + base + (c < rem ? 1 : 0);
     body(lo, hi);
   });

@@ -108,10 +108,18 @@ void SetGlobalThreadCount(int num_threads);
 // worker threads beyond the pool itself).
 int GlobalThreadCount();
 
+// Chunks ParallelFor makes per pool thread at most. More chunks than
+// threads let the static stripes of ThreadPool::Run balance ranges whose
+// per-index cost is skewed; the cap keeps dispatch overhead bounded.
+inline constexpr std::size_t kChunksPerThread = 8;
+
 // Runs body(chunk_begin, chunk_end) over a partition of [begin, end).
-// `grain` is the minimum iterations per chunk; the range is split into at
-// most num_threads balanced chunks of >= grain iterations each. Safe for
-// any body that writes only through its own index range.
+// `grain` is the minimum iterations per chunk: the range is split into
+// min(kChunksPerThread * num_threads, n / grain) balanced chunks, each at
+// least `grain` long (a range shorter than 2 * grain runs as one inline
+// call). Chunk c goes to stripe c % num_threads, so neighbouring chunks
+// land on different threads. Safe for any body that writes only through
+// its own index range.
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -1,11 +1,14 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace mgardp {
 
@@ -118,24 +121,85 @@ namespace {
 // smallest element of a multiset is a well-defined value, so the ranks end
 // up holding exactly what a full sort would put there, in O(n log ranks)
 // instead of O(n log n).
-void SelectRanks(std::vector<double>* v, std::size_t first, std::size_t last,
+template <typename T>
+void SelectRanks(T* v, std::size_t first, std::size_t last,
                  const std::size_t* ranks, std::size_t num_ranks) {
   if (num_ranks == 0 || first >= last) {
     return;
   }
   const std::size_t mid = num_ranks / 2;
   const std::size_t r = ranks[mid];
-  std::nth_element(v->begin() + static_cast<std::ptrdiff_t>(first),
-                   v->begin() + static_cast<std::ptrdiff_t>(r),
-                   v->begin() + static_cast<std::ptrdiff_t>(last));
+  std::nth_element(v + first, v + r, v + last);
   SelectRanks(v, first, r, ranks, mid);
   SelectRanks(v, r + 1, last, ranks + mid + 1, num_ranks - mid - 1);
 }
 
+// Bin b of a sketch over n sorted values interpolates between sorted
+// positions lo and hi = min(lo + 1, n - 1) with weight frac.
+struct SketchBin {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+SketchBin SketchBinAt(std::size_t n, std::size_t b, std::size_t bins) {
+  const double q = (static_cast<double>(b) + 0.5) / static_cast<double>(bins);
+  const double pos = q * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+// The sorted positions the sketch reads, ascending and unique.
+std::vector<std::size_t> SketchRanks(std::size_t n, std::size_t bins) {
+  std::vector<std::size_t> ranks;
+  ranks.reserve(2 * bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    const SketchBin bin = SketchBinAt(n, b, bins);
+    ranks.push_back(bin.lo);
+    ranks.push_back(bin.hi);
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  return ranks;
+}
+
+// Interpolates the sketch from the values at SketchRanks(n, bins);
+// `value_at_rank[i]` is the ranks[i]-th smallest |value|.
+std::vector<double> InterpolateSketch(std::size_t n, std::size_t bins,
+                                      const std::vector<std::size_t>& ranks,
+                                      const std::vector<double>& value_at_rank) {
+  auto at = [&](std::size_t rank) {
+    return value_at_rank[std::lower_bound(ranks.begin(), ranks.end(), rank) -
+                         ranks.begin()];
+  };
+  std::vector<double> sketch(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    const SketchBin bin = SketchBinAt(n, b, bins);
+    sketch[b] = at(bin.lo) * (1.0 - bin.frac) + at(bin.hi) * bin.frac;
+  }
+  return sketch;
+}
+
+// Radix select over the IEEE-754 bit patterns of |x|. With the sign bit
+// clear, non-negative doubles (subnormals and +inf included) order exactly
+// like their bit patterns as uint64, so bits 62..47 -- the exponent and the
+// top five mantissa bits -- pick one of 2^16 ordered buckets.
+constexpr int kRadixShift = 47;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << 16;
+constexpr std::uint64_t kAbsMask = ~(std::uint64_t{1} << 63);
+// Values per histogram chunk; at most one chunk per pool thread.
+constexpr std::size_t kSketchGrain = std::size_t{1} << 16;
+
+std::uint64_t AbsBits(double v) {
+  return std::bit_cast<std::uint64_t>(v) & kAbsMask;
+}
+
 }  // namespace
 
-std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
-                                      std::size_t bins) {
+namespace internal {
+
+std::vector<double> AbsQuantileSketchSerial(const std::vector<double>& values,
+                                            std::size_t bins) {
   MGARDP_CHECK_GT(bins, 0u);
   std::vector<double> abs_vals(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -158,7 +222,8 @@ std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
   }
   std::sort(ranks.begin(), ranks.end());
   ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-  SelectRanks(&abs_vals, 0, abs_vals.size(), ranks.data(), ranks.size());
+  SelectRanks(abs_vals.data(), 0, abs_vals.size(), ranks.data(),
+              ranks.size());
   for (std::size_t b = 0; b < bins; ++b) {
     const double q = (static_cast<double>(b) + 0.5) / static_cast<double>(bins);
     const double pos = q * static_cast<double>(abs_vals.size() - 1);
@@ -168,6 +233,102 @@ std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
     sketch[b] = abs_vals[lo] * (1.0 - frac) + abs_vals[hi] * frac;
   }
   return sketch;
+}
+
+}  // namespace internal
+
+std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
+                                      std::size_t bins) {
+  MGARDP_CHECK_GT(bins, 0u);
+  const std::size_t n = values.size();
+  if (n == 0) {
+    return std::vector<double>(bins, 0.0);
+  }
+  MGARDP_CHECK_LT(n, std::size_t{1} << 32) << "sketch counts are 32-bit";
+  const std::vector<std::size_t> ranks = SketchRanks(n, bins);
+
+  // Pass 1: each chunk histograms its contiguous slice of the values into
+  // its own row of one caller-owned buffer (no per-worker allocation).
+  ThreadPool& threads = GlobalThreadPool();
+  const std::size_t num_chunks = std::clamp<std::size_t>(
+      n / kSketchGrain, 1, static_cast<std::size_t>(threads.num_threads()));
+  auto chunk_begin = [&](std::size_t c) { return c * n / num_chunks; };
+  std::vector<std::uint32_t> hist(num_chunks * kRadixBuckets, 0);
+  threads.Run(num_chunks, [&](std::size_t c) {
+    std::uint32_t* row = hist.data() + c * kRadixBuckets;
+    for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+      ++row[AbsBits(values[i]) >> kRadixShift];
+    }
+  });
+
+  // Locate the bucket holding each target rank. Only those buckets (at most
+  // one per rank) are gathered; `gather_at` is each one's offset in the
+  // gather buffer, and each chunk's row turns into its write cursors.
+  std::vector<std::size_t> bucket_start(kRadixBuckets + 1, 0);
+  for (std::size_t b = 0; b < kRadixBuckets; ++b) {
+    std::size_t total = 0;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      total += hist[c * kRadixBuckets + b];
+    }
+    bucket_start[b + 1] = bucket_start[b] + total;
+  }
+  std::vector<std::size_t> rank_bucket(ranks.size());
+  std::vector<std::uint8_t> is_target(kRadixBuckets, 0);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    rank_bucket[i] = static_cast<std::size_t>(
+        std::upper_bound(bucket_start.begin(), bucket_start.end(), ranks[i]) -
+        bucket_start.begin() - 1);
+    is_target[rank_bucket[i]] = 1;
+  }
+  std::vector<std::size_t> gather_at(kRadixBuckets, 0);
+  std::size_t num_gathered = 0;
+  for (std::size_t b = 0; b < kRadixBuckets; ++b) {
+    if (is_target[b] == 0) {
+      continue;
+    }
+    gather_at[b] = num_gathered;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::uint32_t count = hist[c * kRadixBuckets + b];
+      hist[c * kRadixBuckets + b] = static_cast<std::uint32_t>(num_gathered);
+      num_gathered += count;
+    }
+  }
+
+  // Pass 2: the same chunks scatter their target-bucket values to disjoint
+  // cursor ranges.
+  std::vector<std::uint64_t> candidates(num_gathered);
+  threads.Run(num_chunks, [&](std::size_t c) {
+    std::uint32_t* cursor = hist.data() + c * kRadixBuckets;
+    for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+      const std::uint64_t bits = AbsBits(values[i]);
+      const std::size_t b = bits >> kRadixShift;
+      if (is_target[b] != 0) {
+        candidates[cursor[b]++] = bits;
+      }
+    }
+  });
+
+  // Select each bucket's ranks inside that bucket alone. A bucket's values
+  // are exactly those of global ranks [bucket_start[b], bucket_start[b+1]),
+  // so the local order statistic is the global one.
+  std::vector<double> value_at_rank(ranks.size());
+  std::vector<std::size_t> local;
+  for (std::size_t i = 0; i < ranks.size();) {
+    const std::size_t b = rank_bucket[i];
+    std::size_t j = i;
+    local.clear();
+    for (; j < ranks.size() && rank_bucket[j] == b; ++j) {
+      local.push_back(ranks[j] - bucket_start[b]);
+    }
+    std::uint64_t* bucket = candidates.data() + gather_at[b];
+    SelectRanks(bucket, 0, bucket_start[b + 1] - bucket_start[b],
+                local.data(), local.size());
+    for (std::size_t k = i; k < j; ++k) {
+      value_at_rank[k] = std::bit_cast<double>(bucket[local[k - i]]);
+    }
+    i = j;
+  }
+  return InterpolateSketch(n, bins, ranks, value_at_rank);
 }
 
 double PearsonCorrelation(const std::vector<double>& a,

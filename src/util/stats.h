@@ -50,8 +50,21 @@ double Quantile(std::vector<double> values, double q);
 // Evenly spaced quantiles of |values|, used as a fixed-size sketch of a
 // coefficient distribution (E-MGARD encoder input). Returns `bins` values:
 // the (i+0.5)/bins quantiles of the absolute values, ascending.
+// Exact: a parallel radix select over the bit patterns of |x| finds the
+// buckets holding the target ranks, then selects only inside them. The
+// result is bit-identical to internal::AbsQuantileSketchSerial for any
+// thread count. NaN input has no defined order and no defined result.
 std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
                                       std::size_t bins);
+
+namespace internal {
+
+// Reference sketch: multi-rank nth_element over a serial copy of |values|.
+// Kept for cross-checking AbsQuantileSketch.
+std::vector<double> AbsQuantileSketchSerial(const std::vector<double>& values,
+                                            std::size_t bins);
+
+}  // namespace internal
 
 // Pearson correlation between two equally sized samples. Returns 0 when
 // either sample has zero variance.

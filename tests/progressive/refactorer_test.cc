@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/rng.h"
 
@@ -85,6 +87,27 @@ TEST(RefactorerTest, PadsNonconformingDims) {
 TEST(RefactorerTest, RejectsEmptyData) {
   Refactorer refactorer;
   EXPECT_FALSE(refactorer.Refactor(Array3Dd()).ok());
+}
+
+TEST(RefactorerTest, RejectsNonFiniteInput) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : bad_values) {
+    Array3Dd data = TestField(Dims3{17, 17, 17});
+    // Two bad values: the status names the first one's flat index.
+    data(3, 4, 5) = bad;
+    data(9, 1, 2) = bad;
+    auto result = Refactorer().Refactor(data);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+    const std::string index = std::to_string((3 * 17 + 4) * 17 + 5);
+    EXPECT_NE(result.status().message().find("index " + index),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("not finite"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(RefactorerTest, HigherPlanesCompressBetter) {

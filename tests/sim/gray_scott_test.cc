@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace mgardp {
@@ -57,6 +59,22 @@ TEST(GrayScottTest, DeterministicForSeed) {
   b.Step(30);
   EXPECT_EQ(MaxAbsError(a.u().vector(), b.u().vector()), 0.0);
   EXPECT_EQ(MaxAbsError(a.v().vector(), b.v().vector()), 0.0);
+
+  // Step() fans x-slabs out over the pool; every point is written once
+  // from the previous state, so 1 and 8 threads agree byte for byte.
+  const int ambient = GlobalThreadCount();
+  auto run = [&](int threads) {
+    SetGlobalThreadCount(threads);
+    GrayScottSimulator sim(Dims3{33, 17, 9}, p);
+    sim.Step(30);
+    return sim;
+  };
+  const GrayScottSimulator serial = run(1);
+  const GrayScottSimulator threaded = run(8);
+  SetGlobalThreadCount(ambient);
+  const std::size_t bytes = serial.u().size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(serial.u().data(), threaded.u().data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(serial.v().data(), threaded.v().data(), bytes), 0);
 }
 
 TEST(GrayScottTest, SeedChangesPerturbation) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace mgardp {
@@ -20,6 +22,22 @@ TEST(WarpXTest, DeterministicForSeed) {
   Array3Dd fa = a.Field(WarpXField::kEx, 5);
   Array3Dd fb = b.Field(WarpXField::kEx, 5);
   EXPECT_EQ(MaxAbsError(fa.vector(), fb.vector()), 0.0);
+}
+
+TEST(WarpXTest, FieldIsBitIdenticalAcrossThreadCounts) {
+  const int ambient = GlobalThreadCount();
+  WarpXSimulator sim(Dims3{33, 17, 9});
+  for (WarpXField field : {WarpXField::kBx, WarpXField::kEx, WarpXField::kJx}) {
+    SetGlobalThreadCount(1);
+    const Array3Dd serial = sim.Field(field, 5);
+    SetGlobalThreadCount(8);
+    const Array3Dd threaded = sim.Field(field, 5);
+    EXPECT_EQ(std::memcmp(serial.data(), threaded.data(),
+                          serial.size() * sizeof(double)),
+              0)
+        << WarpXFieldName(field);
+  }
+  SetGlobalThreadCount(ambient);
 }
 
 TEST(WarpXTest, FieldsEvolveOverTime) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace mgardp {
@@ -49,27 +54,71 @@ TEST_F(ParallelTest, PoolIsReusableAcrossBatches) {
 }
 
 TEST_F(ParallelTest, ParallelForCoversEveryIndexOnce) {
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 3, 4, 8}) {
     SetGlobalThreadCount(threads);
+    const std::size_t max_chunks =
+        kChunksPerThread * static_cast<std::size_t>(threads);
     // Grain edge cases: zero (clamped to 1), grain > n, grain == n, odd
-    // splits, empty and single-element ranges.
+    // splits, empty and single-element ranges, and ranges long enough to
+    // hit the chunk cap.
     for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                           std::size_t{64}, std::size_t{1000}}) {
       for (std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                                 std::size_t{64}, std::size_t{5000}}) {
+        const std::size_t g = std::max<std::size_t>(grain, 1);
         std::vector<int> hit(n, 0);
+        std::mutex mu;
+        std::vector<std::size_t> lengths;
         ParallelFor(0, n, grain, [&](std::size_t lo, std::size_t hi) {
           ASSERT_LE(lo, hi);
           for (std::size_t i = lo; i < hi; ++i) {
             hit[i] += 1;
           }
+          std::lock_guard<std::mutex> lock(mu);
+          lengths.push_back(hi - lo);
         });
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_EQ(hit[i], 1) << "n=" << n << " grain=" << grain;
         }
+        if (n == 0) {
+          EXPECT_TRUE(lengths.empty());
+          continue;
+        }
+        EXPECT_LE(lengths.size(), max_chunks)
+            << "threads=" << threads << " n=" << n << " grain=" << grain;
+        if (n < g) {
+          // A range shorter than the grain runs as one short chunk.
+          EXPECT_EQ(lengths.size(), 1u);
+          continue;
+        }
+        for (std::size_t len : lengths) {
+          EXPECT_GE(len, g) << "threads=" << threads << " n=" << n
+                            << " grain=" << grain;
+        }
       }
     }
   }
+}
+
+TEST_F(ParallelTest, ParallelForSpreadsChunksOverEveryStripe) {
+  // With 8 chunks per thread, the first `threads` chunks -- where the
+  // library fan-outs put their most expensive tasks -- run on distinct
+  // threads.
+  SetGlobalThreadCount(4);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::thread::id>> owners;
+  ParallelFor(0, 64, 1, [&](std::size_t lo, std::size_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    owners.emplace_back(lo, std::this_thread::get_id());
+    EXPECT_EQ(hi - lo, 2u);
+  });
+  ASSERT_EQ(owners.size(), 32u);
+  std::sort(owners.begin(), owners.end());
+  std::set<std::thread::id> leading;
+  for (std::size_t c = 0; c < 4; ++c) {
+    leading.insert(owners[c].second);
+  }
+  EXPECT_EQ(leading.size(), 4u);
 }
 
 TEST_F(ParallelTest, ParallelForRespectsNonzeroBegin) {
