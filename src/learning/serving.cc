@@ -22,6 +22,10 @@ Result<double> VersionedEstimator::TryEstimate(
   return estimator_.TryEstimate(field, prefix);
 }
 
+LevelTable VersionedEstimator::Table(const RefactoredField& field) const {
+  return estimator_.Table(field);
+}
+
 std::string VersionedEstimator::name() const {
   return "e-mgard@v" + std::to_string(version_->version);
 }

@@ -5,6 +5,7 @@
 #ifndef MGARDP_PROGRESSIVE_RECONSTRUCTOR_H_
 #define MGARDP_PROGRESSIVE_RECONSTRUCTOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,49 @@ struct RetrievalPlan {
   std::size_t total_bytes = 0;  // Equation 1, post-lossless
   double estimated_error = 0.0; // estimator's value at `prefix`
 };
+
+// The planner's view of an estimator for one field: the estimator's
+// LevelTable when it is separable, built once at construction, or else
+// per-candidate Estimate calls. Both give the same value bit for bit. A
+// view lives for one planning call; tables are never cached across
+// requests, because building one costs at most one batched forward pass
+// per level. `field` and `estimator` must outlive the view.
+class PlanCost {
+ public:
+  PlanCost(const RefactoredField& field, const ErrorEstimator& estimator);
+
+  double operator()(const std::vector<int>& prefix) const;
+
+ private:
+  const RefactoredField& field_;
+  const ErrorEstimator& estimator_;
+  LevelTable table_;
+};
+
+// Where one greedy planning run starts and when it stops.
+struct PlanSpec {
+  // Initial prefix (empty: all zero); entries are clamped to the caps.
+  std::vector<int> start;
+  // Per-level plane limits (empty: num_planes for every level).
+  std::vector<int> caps;
+  // Stop once the estimate is <= the bound; unset runs until no block is
+  // admissible.
+  std::optional<double> error_bound;
+  // Only blocks that keep the plan's total bytes within the budget are
+  // admissible.
+  std::optional<std::size_t> byte_budget;
+  // Once the bound is met, drop the planes block fetches over-committed.
+  bool trim = false;
+};
+
+// The greedy planner behind every entry point below (and PlanHybrid):
+// repeatedly fetch the block of planes with the best estimated error drop
+// per compressed byte, then optionally trim. `start` and `caps` must be
+// empty or have num_levels entries. When `states` is non-null it receives
+// every prefix visited, starting with the clamped start.
+RetrievalPlan GreedyPlan(const RefactoredField& field, const PlanCost& cost,
+                         const PlanSpec& spec,
+                         std::vector<std::vector<int>>* states = nullptr);
 
 class Reconstructor {
  public:
