@@ -162,6 +162,20 @@ Status Mlp::Deserialize(BinaryReader* r) {
   if (config_.input_dim == 0 || config_.output_dim == 0) {
     return Status::Invalid("mlp: bad dimensions in serialized form");
   }
+  // Every Linear layer stores its weight and bias as two length-prefixed
+  // vectors of doubles. Refuse dimensions whose weights the bytes left
+  // could not hold before Build allocates them.
+  std::uint64_t words = r->remaining() / sizeof(double);
+  std::uint64_t in = input_dim;
+  for (std::size_t i = 0; i <= hidden.size(); ++i) {
+    const std::uint64_t out = i < hidden.size() ? hidden[i] : output_dim;
+    if (out > words || (out != 0 && in > words / out) ||
+        words - in * out < out + 2) {
+      return Status::OutOfRange("mlp: dimensions exceed the serialized form");
+    }
+    words -= in * out + out + 2;
+    in = out;
+  }
   Build(nullptr);
   for (auto& layer : layers_) {
     for (Matrix* p : layer->Params()) {

@@ -65,6 +65,8 @@ class Mlp {
   // Weight + architecture round-trip.
   void Serialize(BinaryWriter* w) const;
   Status Deserialize(BinaryReader* r);
+  // Lower bound on one serialized Mlp: its five header fields.
+  static constexpr std::size_t kMinSerializedBytes = 5 * 8;
 
  private:
   void Build(Rng* rng);

@@ -42,6 +42,8 @@ class StandardScaler {
 
   void Serialize(BinaryWriter* w) const;
   Status Deserialize(BinaryReader* r);
+  // Lower bound on one serialized scaler: three vector length prefixes.
+  static constexpr std::size_t kMinSerializedBytes = 3 * 8;
 
  private:
   std::vector<double> mean_;

@@ -12,9 +12,7 @@
 // tenant, retention reason, final status, and latency as args — so one
 // file shows each sampled request as its own lane, and `mgardp
 // trace-report` re-reads the same args (the writer emits exactly one event
-// per line to keep that parse trivial). Batch spans carry their span links
-// (the trace ids of every request that joined the shared work) in
-// args.links.
+// per line to keep that parse trivial).
 //
 // PeriodicTraceFlusher mirrors PeriodicPromFlusher: long-running runs get
 // their timeline rewritten atomically (temp + rename) on an interval AND

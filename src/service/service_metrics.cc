@@ -25,11 +25,7 @@ ServiceMetrics::ServiceMetrics()
     : latency_ms_(Histogram::Options{1e-3, 1.25, 96}),
       // Candidate/incumbent byte ratios cluster around 1; 10% geometric
       // buckets over [0.01, ~2e3] match the audit ratio histograms.
-      shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}),
-      // Batch sizes 1..~43k at 25% resolution.
-      inference_batch_rows_(Histogram::Options{1.0, 1.25, 48}),
-      // Queue delays from a microsecond up; same shape as latency_ms_.
-      inference_queue_delay_ms_(Histogram::Options{1e-3, 1.25, 96}) {}
+      shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}) {}
 
 void ServiceMetrics::OnCacheHit(std::size_t bytes) {
   cache_hits_.fetch_add(1, kRelaxed);
@@ -98,17 +94,6 @@ void ServiceMetrics::OnShadowPair(double byte_ratio) {
   }
 }
 
-void ServiceMetrics::OnInferenceRows(std::size_t n) {
-  inference_rows_.fetch_add(n, kRelaxed);
-}
-
-void ServiceMetrics::OnInferenceBatch(std::size_t batch_size,
-                                      double queue_delay_ms) {
-  inference_batches_.fetch_add(1, kRelaxed);
-  inference_batch_rows_.Record(static_cast<double>(batch_size));
-  inference_queue_delay_ms_.Record(std::max(queue_delay_ms, 0.0));
-}
-
 void ServiceMetrics::OnAdmitted(std::size_t queue_depth_now) {
   requests_admitted_.fetch_add(1, kRelaxed);
   queue_depth_.store(queue_depth_now, kRelaxed);
@@ -156,11 +141,6 @@ std::string ServiceMetrics::Snapshot::ToJson() const {
       "\"candidate_rejections\":%llu,\"model_rollbacks\":%llu,"
       "\"shadow_pairs\":%llu,\"shadow_byte_ratio_p50\":%.6f,"
       "\"shadow_byte_ratio_p90\":%.6f,\"shadow_byte_ratio_mean\":%.6f,"
-      "\"inference_rows\":%llu,\"inference_batches\":%llu,"
-      "\"inference_batch_rows_mean\":%.6f,\"inference_batch_rows_max\":%.6f,"
-      "\"inference_queue_delay_p50_ms\":%.6f,"
-      "\"inference_queue_delay_p99_ms\":%.6f,"
-      "\"inference_queue_delay_max_ms\":%.6f,"
       "\"requests_admitted\":%llu,\"requests_rejected\":%llu,"
       "\"requests_started\":%llu,"
       "\"requests_completed\":%llu,\"requests_failed\":%llu,"
@@ -191,11 +171,6 @@ std::string ServiceMetrics::Snapshot::ToJson() const {
       static_cast<unsigned long long>(model_rollbacks),
       static_cast<unsigned long long>(shadow_pairs),
       shadow_byte_ratio_p50, shadow_byte_ratio_p90, shadow_byte_ratio_mean,
-      static_cast<unsigned long long>(inference_rows),
-      static_cast<unsigned long long>(inference_batches),
-      inference_batch_rows_mean, inference_batch_rows_max,
-      inference_queue_delay_p50_ms, inference_queue_delay_p99_ms,
-      inference_queue_delay_max_ms,
       static_cast<unsigned long long>(requests_admitted),
       static_cast<unsigned long long>(requests_rejected),
       static_cast<unsigned long long>(requests_started),
@@ -310,23 +285,6 @@ void AppendServiceMetricsProm(const ServiceMetrics::Snapshot& s,
       {"mgardp_service_shadow_byte_ratio_p90", "gauge",
        "90th-percentile candidate/incumbent fetched-byte ratio.",
        s.shadow_byte_ratio_p90},
-      {"mgardp_service_inference_rows_total", "counter",
-       "Model-prediction rows requested (batched or not).",
-       static_cast<double>(s.inference_rows)},
-      {"mgardp_service_inference_batches_total", "counter",
-       "Coalesced inference batches executed.",
-       static_cast<double>(s.inference_batches)},
-      {"mgardp_service_inference_batch_rows_mean", "gauge",
-       "Mean rows per coalesced inference batch.",
-       s.inference_batch_rows_mean},
-      {"mgardp_service_inference_batch_rows_max", "gauge",
-       "Largest coalesced inference batch.", s.inference_batch_rows_max},
-      {"mgardp_service_inference_queue_delay_ms_p50", "gauge",
-       "Median batching delay of the oldest row per batch (ms).",
-       s.inference_queue_delay_p50_ms},
-      {"mgardp_service_inference_queue_delay_ms_p99", "gauge",
-       "99th-percentile inference batching delay (ms).",
-       s.inference_queue_delay_p99_ms},
       {"mgardp_service_requests_admitted_total", "counter",
        "Requests admitted by the scheduler.",
        static_cast<double>(s.requests_admitted)},
@@ -395,17 +353,6 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
           ? 0.0
           : shadow_byte_ratio_.sum() /
                 static_cast<double>(shadow_byte_ratio_.count());
-  s.inference_rows = inference_rows_.load(kRelaxed);
-  s.inference_batches = inference_batches_.load(kRelaxed);
-  s.inference_batch_rows_mean =
-      inference_batch_rows_.count() == 0
-          ? 0.0
-          : inference_batch_rows_.sum() /
-                static_cast<double>(inference_batch_rows_.count());
-  s.inference_batch_rows_max = inference_batch_rows_.max();
-  s.inference_queue_delay_p50_ms = inference_queue_delay_ms_.Quantile(0.50);
-  s.inference_queue_delay_p99_ms = inference_queue_delay_ms_.Quantile(0.99);
-  s.inference_queue_delay_max_ms = inference_queue_delay_ms_.max();
   s.requests_admitted = requests_admitted_.load(kRelaxed);
   s.requests_rejected = requests_rejected_.load(kRelaxed);
   s.requests_started = requests_started_.load(kRelaxed);
@@ -445,10 +392,6 @@ void ServiceMetrics::Reset() {
   model_rollbacks_ = 0;
   shadow_pairs_ = 0;
   shadow_byte_ratio_.Reset();
-  inference_rows_ = 0;
-  inference_batches_ = 0;
-  inference_batch_rows_.Reset();
-  inference_queue_delay_ms_.Reset();
   requests_admitted_ = 0;
   requests_rejected_ = 0;
   requests_started_ = 0;

@@ -67,14 +67,6 @@ class ServiceMetrics {
   // incumbent bytes for the same request (the shadow-delta histogram).
   void OnShadowPair(double byte_ratio);
 
-  // -- batched inference -----------------------------------------------
-  // `n` model-prediction rows were requested (batched or not) — the
-  // numerator of predictions/sec.
-  void OnInferenceRows(std::size_t n);
-  // One coalesced batch of `batch_size` rows executed after its oldest
-  // row waited `queue_delay_ms` for company.
-  void OnInferenceBatch(std::size_t batch_size, double queue_delay_ms);
-
   // -- scheduler -------------------------------------------------------
   void OnAdmitted(std::size_t queue_depth_now);
   void OnRejected();
@@ -113,14 +105,6 @@ class ServiceMetrics {
     double shadow_byte_ratio_p50 = 0.0;
     double shadow_byte_ratio_p90 = 0.0;
     double shadow_byte_ratio_mean = 0.0;
-
-    std::uint64_t inference_rows = 0;
-    std::uint64_t inference_batches = 0;
-    double inference_batch_rows_mean = 0.0;
-    double inference_batch_rows_max = 0.0;
-    double inference_queue_delay_p50_ms = 0.0;
-    double inference_queue_delay_p99_ms = 0.0;
-    double inference_queue_delay_max_ms = 0.0;
 
     std::uint64_t requests_admitted = 0;
     std::uint64_t requests_rejected = 0;
@@ -187,11 +171,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> model_rollbacks_{0};
   std::atomic<std::uint64_t> shadow_pairs_{0};
   Histogram shadow_byte_ratio_;
-
-  std::atomic<std::uint64_t> inference_rows_{0};
-  std::atomic<std::uint64_t> inference_batches_{0};
-  Histogram inference_batch_rows_;
-  Histogram inference_queue_delay_ms_;
 
   std::atomic<std::uint64_t> requests_admitted_{0};
   std::atomic<std::uint64_t> requests_rejected_{0};

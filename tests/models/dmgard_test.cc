@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include "corrupt_blob.h"
+#include "util/io.h"
 
 namespace mgardp {
 namespace {
@@ -111,6 +115,14 @@ TEST_F(DMgardTest, SerializationPreservesPredictions) {
   }
 }
 
+TEST_F(DMgardTest, DamagedBlobsFailWithStatus) {
+  // Structural bytes: the magic (0-3) and the level count (17-20).
+  ExpectCorruptBlobsFailCleanly(
+      model_->Serialize(),
+      [](const std::string& b) { return DMgardModel::Deserialize(b); },
+      {0, 1, 2, 3, 17, 18, 19, 20});
+}
+
 TEST_F(DMgardTest, RejectsWrongFeatureCount) {
   EXPECT_FALSE(
       model_->Predict({1.0, 2.0}, records_->front().sketches, 1e-3).ok());
@@ -179,6 +191,18 @@ TEST(DMgardValidationTest, UntrainedModelRefusesToPredict) {
 
 TEST(DMgardValidationTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(DMgardModel::Deserialize("garbage").ok());
+}
+
+TEST(DMgardValidationTest, RejectsImpossibleLevelCounts) {
+  for (std::int32_t levels : {-1, 1 << 30}) {
+    BinaryWriter w;
+    w.Put<std::uint32_t>(0x444D4752);
+    w.Put<std::uint64_t>(24);
+    w.Put<std::uint8_t>(1);
+    w.Put<std::int32_t>(32);
+    w.Put<std::int32_t>(levels);
+    EXPECT_FALSE(DMgardModel::Deserialize(w.TakeBuffer()).ok()) << levels;
+  }
 }
 
 TEST(DMgardAblationTest, IndependentModeAlsoTrains) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "corrupt_blob.h"
 #include "progressive/reconstructor.h"
+#include "util/io.h"
 #include "progressive/refactorer.h"
 #include "util/stats.h"
 
@@ -108,11 +114,47 @@ TEST_F(EMgardTest, SerializationPreservesConstants) {
   }
 }
 
+TEST_F(EMgardTest, DamagedBlobsFailWithStatus) {
+  // Structural bytes: the magic (0-3) and the level count (32-35).
+  ExpectCorruptBlobsFailCleanly(
+      model_->Serialize(),
+      [](const std::string& b) { return EMgardModel::Deserialize(b); },
+      {0, 1, 2, 3, 32, 33, 34, 35});
+}
+
 TEST_F(EMgardTest, RejectsBadLevelAndSketch) {
   const auto& rec = records_->front();
   EXPECT_FALSE(
       model_->PredictConstant(99, rec.sketches[0], 1e-3, 4).ok());
   EXPECT_FALSE(model_->PredictConstant(0, {1.0, 2.0}, 1e-3, 4).ok());
+}
+
+// An EMGR header with the given margin and level count, and no levels.
+std::string EMgardHeader(double margin, std::int32_t levels) {
+  BinaryWriter w;
+  w.Put<std::uint32_t>(0x454D4752);
+  w.Put<std::int32_t>(32);
+  w.Put<double>(0.1);
+  w.Put<double>(100.0);
+  w.Put<double>(margin);
+  w.Put<std::int32_t>(levels);
+  return w.TakeBuffer();
+}
+
+TEST(EMgardValidationTest, RejectsImpossibleLevelCounts) {
+  EXPECT_FALSE(EMgardModel::Deserialize(EMgardHeader(1.0, -1)).ok());
+  EXPECT_FALSE(EMgardModel::Deserialize(EMgardHeader(1.0, 1 << 30)).ok());
+  EXPECT_TRUE(EMgardModel::Deserialize(EMgardHeader(1.0, 0)).ok());
+}
+
+TEST(EMgardValidationTest, RejectsSafetyMarginsTrainingCannotProduce) {
+  EXPECT_FALSE(EMgardModel::Deserialize(EMgardHeader(0.0, 0)).ok());
+  EXPECT_FALSE(EMgardModel::Deserialize(EMgardHeader(0.5, 0)).ok());
+  EXPECT_FALSE(
+      EMgardModel::Deserialize(EMgardHeader(std::nan(""), 0)).ok());
+  EXPECT_FALSE(EMgardModel::Deserialize(
+                   EMgardHeader(std::numeric_limits<double>::infinity(), 0))
+                   .ok());
 }
 
 TEST(EMgardValidationTest, RejectsEmptyAndUntrained) {

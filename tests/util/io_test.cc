@@ -70,6 +70,29 @@ TEST(BinaryIoTest, TruncatedVectorFails) {
   EXPECT_FALSE(r.GetVector(&v).ok());
 }
 
+TEST(BinaryIoTest, CountsThatWrapTheBoundsCheckFail) {
+  // 2^61 doubles is 2^64 bytes: pos + n * sizeof(T) wraps to a small
+  // number, so the bound must be checked against the bytes left.
+  for (std::uint64_t n : {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+    BinaryWriter w;
+    w.Put<std::uint64_t>(n);
+    w.Put<double>(1.0);
+    BinaryReader vec_reader(w.buffer());
+    std::vector<double> v;
+    EXPECT_EQ(vec_reader.GetVector(&v).code(), StatusCode::kOutOfRange);
+    BinaryReader str_reader(w.buffer());
+    std::string s;
+    EXPECT_EQ(str_reader.GetString(&s).code(), StatusCode::kOutOfRange);
+  }
+  BinaryWriter w;
+  w.Put<std::uint64_t>(7);
+  BinaryReader r(w.buffer());
+  std::uint32_t word = 0;
+  ASSERT_TRUE(r.Get(&word).ok());
+  char byte = 0;
+  EXPECT_FALSE(r.GetBytes(&byte, ~std::size_t{0}).ok());
+}
+
 TEST(FileIoTest, WriteReadRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mgardp_io_test.bin").string();
