@@ -121,8 +121,9 @@ class RetrievalScheduler {
     // Admission time, so the tracer can split time-in-queue from service
     // time ("sched/queue_wait" vs "sched/service" spans).
     std::chrono::steady_clock::time_point submitted;
-    // Set iff Options::flight_recorder is; kept alive through Process() so
-    // batch spans appended by peers after completion still land somewhere.
+    // Set iff Options::flight_recorder is. Minted at admission and carried
+    // to Process(), which installs it for the request's spans and hands it
+    // to FinishRequest; the recorder shares ownership of retained records.
     std::shared_ptr<obs::RequestContext> ctx;
   };
 

@@ -67,12 +67,6 @@ void ServiceMetrics::OnRetries(int n) {
   }
 }
 
-void ServiceMetrics::OnFailover() { failovers_total_.fetch_add(1, kRelaxed); }
-
-void ServiceMetrics::OnReplicaLost() {
-  replicas_lost_.fetch_add(1, kRelaxed);
-}
-
 void ServiceMetrics::OnRetrain() { retrains_total_.fetch_add(1, kRelaxed); }
 
 void ServiceMetrics::OnModelPromoted() {
@@ -135,8 +129,7 @@ std::string ServiceMetrics::Snapshot::ToJson() const {
       "\"planes_fetched\":%llu,\"planes_reused\":%llu,"
       "\"fetched_bytes\":%llu,\"reused_bytes\":%llu,"
       "\"noop_refinements\":%llu,"
-      "\"retries_total\":%llu,\"failovers_total\":%llu,"
-      "\"replicas_lost\":%llu,"
+      "\"retries_total\":%llu,"
       "\"retrains_total\":%llu,\"model_promotions\":%llu,"
       "\"candidate_rejections\":%llu,\"model_rollbacks\":%llu,"
       "\"shadow_pairs\":%llu,\"shadow_byte_ratio_p50\":%.6f,"
@@ -163,8 +156,6 @@ std::string ServiceMetrics::Snapshot::ToJson() const {
       static_cast<unsigned long long>(reused_bytes),
       static_cast<unsigned long long>(noop_refinements),
       static_cast<unsigned long long>(retries_total),
-      static_cast<unsigned long long>(failovers_total),
-      static_cast<unsigned long long>(replicas_lost),
       static_cast<unsigned long long>(retrains_total),
       static_cast<unsigned long long>(model_promotions),
       static_cast<unsigned long long>(candidate_rejections),
@@ -258,12 +249,6 @@ void AppendServiceMetricsProm(const ServiceMetrics::Snapshot& s,
       {"mgardp_service_retries_total", "counter",
        "Transient-fault segment read retries.",
        static_cast<double>(s.retries_total)},
-      {"mgardp_service_failovers_total", "counter",
-       "Reads served by a non-primary replica.",
-       static_cast<double>(s.failovers_total)},
-      {"mgardp_service_replicas_lost_total", "counter",
-       "Reads that found no live replica (permanent loss).",
-       static_cast<double>(s.replicas_lost)},
       {"mgardp_service_retrains_total", "counter",
        "Background model refits that published a candidate.",
        static_cast<double>(s.retrains_total)},
@@ -339,8 +324,6 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
   s.reused_bytes = reused_bytes_.load(kRelaxed);
   s.noop_refinements = noop_refinements_.load(kRelaxed);
   s.retries_total = retries_total_.load(kRelaxed);
-  s.failovers_total = failovers_total_.load(kRelaxed);
-  s.replicas_lost = replicas_lost_.load(kRelaxed);
   s.retrains_total = retrains_total_.load(kRelaxed);
   s.model_promotions = model_promotions_.load(kRelaxed);
   s.candidate_rejections = candidate_rejections_.load(kRelaxed);
@@ -384,8 +367,6 @@ void ServiceMetrics::Reset() {
   reused_bytes_ = 0;
   noop_refinements_ = 0;
   retries_total_ = 0;
-  failovers_total_ = 0;
-  replicas_lost_ = 0;
   retrains_total_ = 0;
   model_promotions_ = 0;
   candidate_rejections_ = 0;

@@ -49,10 +49,6 @@ class ServiceMetrics {
   // -- storage resilience ---------------------------------------------
   // `n` transient-fault retries were performed for one segment read.
   void OnRetries(int n);
-  // A read was served by a replica other than the first candidate.
-  void OnFailover();
-  // A read found no live replica at all (permanent loss surfaced).
-  void OnReplicaLost();
 
   // -- online learning -------------------------------------------------
   // A background refit completed and published a candidate.
@@ -94,8 +90,6 @@ class ServiceMetrics {
     std::uint64_t noop_refinements = 0;
 
     std::uint64_t retries_total = 0;
-    std::uint64_t failovers_total = 0;
-    std::uint64_t replicas_lost = 0;
 
     std::uint64_t retrains_total = 0;
     std::uint64_t model_promotions = 0;
@@ -162,8 +156,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> noop_refinements_{0};
 
   std::atomic<std::uint64_t> retries_total_{0};
-  std::atomic<std::uint64_t> failovers_total_{0};
-  std::atomic<std::uint64_t> replicas_lost_{0};
 
   std::atomic<std::uint64_t> retrains_total_{0};
   std::atomic<std::uint64_t> model_promotions_{0};

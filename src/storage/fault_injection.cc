@@ -15,27 +15,7 @@ std::uint64_t MixSeed(std::uint64_t seed, int level, int plane) {
   return h;
 }
 
-// SplitMix64 finalizer: a full-avalanche mix so adjacent node ids land on
-// unrelated seeds (a plain XOR would leave the per-key streams of nodes
-// 0 and 1 nearly aligned).
-std::uint64_t Avalanche(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
-
-FaultConfig FaultConfig::ForNode(int node_id) const {
-  FaultConfig derived = *this;
-  derived.seed =
-      Avalanche(seed ^ (0xA24BAED4963EE407ULL *
-                        (static_cast<std::uint64_t>(node_id) + 1)));
-  return derived;
-}
 
 FaultInjectingBackend::FaultInjectingBackend(StorageBackend* inner,
                                              FaultConfig config)

@@ -12,10 +12,11 @@
 // hook (default: no real sleeping), keeping fault-heavy test suites fast.
 //
 // Thread-safety: Get and the counter accessors are safe to call
-// concurrently (the attempt/ fault bookkeeping is internally locked), so a
-// fault-injecting node can sit under the cluster backend's concurrent read
-// path. SetFault/ClearFault(s)/set_sleep must still be serialized against
-// readers, like every other backend's write side.
+// concurrently (the attempt/ fault bookkeeping is internally locked), so
+// one fault-injecting backend can sit under several RetrievalSessions that
+// read it from concurrent scheduler workers. SetFault/ClearFault(s)/
+// set_sleep must still be serialized against readers, like every other
+// backend's write side.
 
 #ifndef MGARDP_STORAGE_FAULT_INJECTION_H_
 #define MGARDP_STORAGE_FAULT_INJECTION_H_
@@ -54,13 +55,6 @@ struct FaultConfig {
   double latency_prob = 0.0;
   double latency_ms = 0.0;       // injected when latency triggers
   int transient_failures = 1;    // attempts that fail before success
-
-  // The same mix with a seed derived from (seed, node_id): node i of a
-  // multi-node setup gets its own deterministic fault stream instead of
-  // every node injecting identical faults for identical keys. ForNode(i)
-  // is stable — calling it twice yields the same config — and distinct
-  // node ids yield distinct streams.
-  FaultConfig ForNode(int node_id) const;
 };
 
 class FaultInjectingBackend : public StorageBackend {
@@ -110,8 +104,8 @@ class FaultInjectingBackend : public StorageBackend {
   StorageBackend* inner_;
   FaultConfig config_;
   std::map<std::pair<int, int>, FaultRule> rules_;
-  // Guards the per-call bookkeeping below so concurrent Gets (the cluster
-  // read path) never race on the attempt counters.
+  // Guards the per-call bookkeeping below so concurrent Gets (sessions
+  // sharing this backend) never race on the attempt counters.
   mutable std::mutex mu_;
   std::map<std::pair<int, int>, int> attempts_;  // Gets seen per key
   std::map<FaultKind, int> fault_counts_;

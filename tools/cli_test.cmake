@@ -91,67 +91,31 @@ if(NOT LAST_OUT MATCHES "DEGRADED")
                       "${LAST_OUT}")
 endif()
 
-# Replicated-cluster scrub drill: with R=2 the wiped node is repaired back
-# to full replication (exit 0); with R=1 the wiped node held the only copy
-# of some segments, and the documented exit code 3 reports the loss.
-run_cli(0 scrub --cluster --shards 4 --replicas 2 --dims 9,9,9 --planes 16)
-if(NOT LAST_OUT MATCHES "repaired")
-  message(FATAL_ERROR "cluster scrub did not report repairs:\n${LAST_OUT}")
-endif()
-run_cli(3 scrub --cluster --shards 4 --replicas 1 --dims 9,9,9 --planes 16)
-if(NOT LAST_OUT MATCHES "LOST")
-  message(FATAL_ERROR "R=1 cluster scrub did not report loss:\n${LAST_OUT}")
-endif()
-
-# Cluster chaos bench (default 17^3 corpus, 96 requests): kill a node
-# halfway through the request stream. Reads fail over to surviving
-# replicas (exit 0: nothing failed, nothing incorrect, failovers actually
-# happened) and the JSON report carries the tail-latency evidence.
-run_cli(0 serve-bench --shards 4 --replicas 2 --kill-node-at 50%
-        --json ${WORK}/bench_cluster.json)
-if(NOT EXISTS ${WORK}/bench_cluster.json)
-  message(FATAL_ERROR "cluster bench did not write its JSON report")
-endif()
-file(READ ${WORK}/bench_cluster.json cluster_json)
-if(NOT cluster_json MATCHES "\"failovers_total\":")
-  message(FATAL_ERROR "cluster bench JSON lacks failovers_total:\n"
-                      "${cluster_json}")
-endif()
-if(cluster_json MATCHES "\"failovers_total\":0[,}]")
-  message(FATAL_ERROR "node kill produced no failovers:\n${cluster_json}")
-endif()
-if(NOT cluster_json MATCHES "\"latency_p999_ms\":")
-  message(FATAL_ERROR "cluster bench JSON lacks latency_p999_ms:\n"
-                      "${cluster_json}")
-endif()
-if(NOT cluster_json MATCHES "\"incorrect\":0")
-  message(FATAL_ERROR "cluster bench reported incorrect reconstructions:\n"
-                      "${cluster_json}")
-endif()
-if(NOT cluster_json MATCHES "\"replicas_lost\":0")
-  message(FATAL_ERROR "R=2 cluster bench lost data:\n${cluster_json}")
-endif()
-
-# An unreplicated cluster degrades gracefully instead of crashing: failed
-# refinements fall back to honest degraded retrievals, exit stays 0.
-run_cli(0 serve-bench --shards 4 --replicas 1 --kill-node-at 50%
-        --requests 48 --clients 4)
-
-# Request-scoped tracing through the chaos bench: --trace-requests retains
-# per-request lanes (the explicit slow threshold plus head sampling
+# Request-scoped tracing through plain serve-bench: --trace-requests
+# retains per-request lanes (the explicit slow threshold plus head sampling
 # guarantee a fast run still keeps some), the end-of-run output carries the
-# SLO burn report, and trace-report ranks the retained requests.
-run_cli(0 serve-bench --shards 4 --replicas 2 --kill-node-at 50%
-        --requests 48 --clients 4
+# SLO burn report, the JSON report shows no failed requests, and
+# trace-report ranks the retained requests.
+run_cli(0 serve-bench --dims 9,9,9 --fields 2 --clients 1,4 --rounds 2
+        --json ${WORK}/bench_serve.json
         --trace-requests ${WORK}/lanes.json --slow-ms 0.5 --head-sample 8)
 if(NOT LAST_OUT MATCHES "latency:")
-  message(FATAL_ERROR "chaos bench printed no SLO burn report:\n${LAST_OUT}")
+  message(FATAL_ERROR "serve-bench printed no SLO burn report:\n${LAST_OUT}")
 endif()
 if(NOT LAST_OUT MATCHES "lanes:")
-  message(FATAL_ERROR "chaos bench reported no retained lanes:\n${LAST_OUT}")
+  message(FATAL_ERROR "serve-bench reported no retained lanes:\n${LAST_OUT}")
 endif()
 if(NOT EXISTS ${WORK}/lanes.json)
   message(FATAL_ERROR "--trace-requests did not write ${WORK}/lanes.json")
+endif()
+if(NOT EXISTS ${WORK}/bench_serve.json)
+  message(FATAL_ERROR "serve-bench did not write its JSON report")
+endif()
+file(READ ${WORK}/bench_serve.json serve_json)
+if(NOT serve_json MATCHES "\"requests_failed\":0[,}]" OR
+   serve_json MATCHES "\"requests_failed\":[1-9]")
+  message(FATAL_ERROR "serve-bench JSON reports failed requests:\n"
+                      "${serve_json}")
 endif()
 run_cli(0 trace-report --input ${WORK}/lanes.json --top 5)
 if(NOT LAST_OUT MATCHES "retained requests in")
@@ -167,6 +131,12 @@ endif()
 run_cli(1 trace-report)
 run_cli(2 trace-report --input ${WORK}/no_such_lanes.json)
 run_cli(1 serve-bench --trace-requests)
+
+# The replicated-cluster modes are gone: their flags are usage errors
+# rather than silently running the default bench, and scrub without
+# --dir/--repo stays a usage error.
+run_cli(1 serve-bench --shards 4)
+run_cli(1 scrub --cluster)
 
 # Error-control audit: the baseline-only quick run prints the per-model
 # table, and --prom leaves a Prometheus exposition behind.

@@ -50,20 +50,6 @@
 //             the request scheduler; prints throughput, cache hit rate,
 //             and latency percentiles per client count.
 //
-//   serve-bench  with --shards N switches to cluster chaos mode: the
-//             corpus is sharded over N simulated nodes (consistent-hash
-//             placement, --replicas copies), --requests refinements
-//             arrive open-loop (Poisson at --rate req/s, 0 = full speed),
-//             and --kill-node-at 50% kills a node mid-run. Reads fail
-//             over along the ring; failed refinements degrade through the
-//             fault-tolerant reconstructor; p50/p99/p999 latency and the
-//             failover/scrub counters land in --json.
-//
-//   scrub     --cluster [--shards N] [--replicas R] [--kill-node ID]
-//             In-process repair drill: wipe one node of a simulated
-//             cluster and scrub-repair it back to full replication.
-//             Exits 0 when repaired, 3 when segments were lost (R=1).
-//
 //   serve-bench  with --retrain runs the online-retraining drill: serve a
 //             Gray-Scott-trained model, shift the traffic to WarpX J_x
 //             mid-run, and let the audit-fed drift trigger refit, shadow,
@@ -99,10 +85,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cluster/cluster_backend.h"
 #include "learning/background_trainer.h"
 #include "learning/model_registry.h"
 #include "learning/serving.h"
@@ -869,34 +853,6 @@ bool ParseIntList(const std::string& spec, std::vector<int>* out) {
   return !out->empty();
 }
 
-// ---- cluster chaos bench ---------------------------------------------------
-
-// --kill-node-at accepts a fraction of the request stream, "0.5" or "50%".
-// Returns a negative value when the flag is absent (no kill).
-double ParseKillFraction(const Flags& flags) {
-  if (!flags.Has("kill-node-at")) {
-    return -1.0;
-  }
-  std::string spec = flags.GetString("kill-node-at");
-  if (spec.empty()) {
-    return 0.5;
-  }
-  if (spec.back() == '%') {
-    return std::stod(spec.substr(0, spec.size() - 1)) / 100.0;
-  }
-  return std::stod(spec);
-}
-
-// Open-loop chaos benchmark against the replicated cluster backend:
-// `--requests` refinements arrive Poisson-spaced at `--rate` req/s (0 =
-// back-to-back) from `--clients` sessions over fields sharded across
-// `--shards` simulated nodes with `--replicas` copies each; at
-// `--kill-node-at` of the stream one node is killed mid-run. Every session
-// carries ground truth, so a reconstruction whose estimate claims the
-// bound but whose actual error misses it counts as `incorrect`. Failed
-// refinements (e.g. --replicas 1 losing a segment with its node) fall back
-// to the fault-tolerant reconstructor and count as honest degradations
-// rather than crashes.
 // ---- serve-bench observability (flight recorder + SLO) ---------------------
 
 // Per-run request-tracing and SLO wiring shared by the serve-bench modes.
@@ -1184,312 +1140,20 @@ int CmdTraceReport(const Flags& flags) {
   return 0;
 }
 
-int CmdServeBenchCluster(const Flags& flags) {
-  if (int rc = ApplyThreadsFlag(flags); rc != 0) {
-    return rc;
-  }
-  Dims3 dims;
-  if (!ParseDims(flags.GetString("dims", "17,17,17"), &dims)) {
-    return Usage("bad --dims");
-  }
-  const int shards = flags.GetInt("shards", 4);
-  const int replicas = flags.GetInt("replicas", 2);
-  const int num_fields = flags.GetInt("fields", 2);
-  const int clients = flags.GetInt("clients", 8);
-  const int requests = flags.GetInt("requests", 96);
-  const int planes = flags.GetInt("planes", 32);
-  const double rate = flags.GetDouble("rate", 0.0);
-  const double zipf_s = flags.GetDouble("zipf", 1.1);
-  // Cache off by default: a warm shared cache would serve reads that must
-  // exercise failover for the chaos run to mean anything.
-  const double cache_mb = flags.GetDouble("cache-mb", 0.0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const double kill_at = ParseKillFraction(flags);
-  const int kill_node = flags.GetInt("kill-node", shards - 1);
-  if (shards <= 0 || replicas <= 0 || num_fields <= 0 || clients <= 0 ||
-      requests <= 0) {
-    return Usage("--shards, --replicas, --fields, --clients and --requests "
-                 "must be positive");
-  }
-  if (kill_node < 0 || kill_node >= shards) {
-    return Usage("--kill-node out of range");
-  }
-
-  auto series = GenerateSeries(flags.GetString("app", "gray-scott"),
-                               flags.GetString("field", "D_u"), dims,
-                               num_fields);
-  if (!series.ok()) {
-    return Usage(series.status().message().c_str());
-  }
-  RefactorOptions ropts;
-  ropts.num_planes = planes;
-  Refactorer refactorer(ropts);
-  std::vector<RefactoredField> fields;
-  fields.reserve(num_fields);
-  for (int t = 0; t < num_fields; ++t) {
-    auto artifact = refactorer.Refactor(series.value().frames[t]);
-    if (!artifact.ok()) {
-      return Fail(artifact.status());
-    }
-    fields.push_back(std::move(artifact).value());
-  }
-
-  ClusterOptions copts;
-  copts.num_nodes = shards;
-  copts.replication = replicas;
-  ClusterBackend cluster(copts);
-  ServiceMetrics metrics;
-  cluster.set_metrics(&metrics);
-  std::vector<std::unique_ptr<ClusterFieldView>> views;
-  views.reserve(num_fields);
-  for (int t = 0; t < num_fields; ++t) {
-    const std::string field_id = "t" + std::to_string(t);
-    for (const auto& key : fields[t].segments.Keys()) {
-      auto payload = fields[t].segments.Get(key.first, key.second);
-      if (!payload.ok()) {
-        return Fail(payload.status());
-      }
-      Status st = cluster.PutSegment(field_id, key.first, key.second,
-                                     std::move(payload).value());
-      if (!st.ok()) {
-        return Fail(st);
-      }
-    }
-    views.push_back(std::make_unique<ClusterFieldView>(&cluster, field_id));
-  }
-
-  std::unique_ptr<SegmentCache> cache;
-  if (cache_mb > 0.0) {
-    SegmentCache::Options sc;
-    sc.byte_budget = static_cast<std::size_t>(cache_mb * 1024.0 * 1024.0);
-    cache = std::make_unique<SegmentCache>(sc, &metrics);
-  }
-
-  // Zipf CDF over fields, same law as the single-backend bench.
-  std::vector<double> cdf(num_fields);
-  double total = 0.0;
-  for (int k = 0; k < num_fields; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), zipf_s);
-    cdf[k] = total;
-  }
-  for (double& c : cdf) {
-    c /= total;
-  }
-
-  TheoryEstimator estimator;
-  std::vector<std::unique_ptr<RetrievalSession>> sessions;
-  std::vector<int> field_of(clients);
-  sessions.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    Rng rng(seed + 7919ULL * static_cast<std::uint64_t>(c));
-    const double u = rng.NextDouble();
-    int idx = 0;
-    while (idx + 1 < num_fields && u > cdf[idx]) {
-      ++idx;
-    }
-    field_of[c] = idx;
-    sessions.push_back(std::make_unique<RetrievalSession>(
-        "t" + std::to_string(idx), &fields[idx], views[idx].get(),
-        &estimator, cache.get(), &metrics));
-    sessions.back()->set_ground_truth(&series.value().frames[idx]);
-  }
-
-  // Loose/tight SLO tiers split at the midpoint (in log space) of the
-  // bench's rel-bound ladder, scaled by the first field's range.
-  ServeObs obs_run =
-      MakeServeObs(flags, 3.16e-3 * fields[0].data_summary.range());
-  AuditSinkGuard sink_guard(obs_run.slo->audit_sink());
-
-  RetrievalScheduler::Options sopts;
-  sopts.queue_capacity = static_cast<std::size_t>(flags.GetInt("queue", 4096));
-  sopts.per_tenant_capacity =
-      static_cast<std::size_t>(flags.GetInt("tenant-quota", 0));
-  sopts.default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  sopts.flight_recorder = obs_run.recorder.get();
-  sopts.slo = obs_run.slo.get();
-  RetrievalScheduler scheduler(&metrics, sopts);
-
-  // Background scrub is opt-in for the bench: the periodic thread repairs
-  // on wall-clock time, which makes its counters run-to-run noisy. The
-  // deterministic repair pass below always runs after the chaos.
-  const int scrub_ms = flags.GetInt("scrub-ms", 0);
-  if (scrub_ms > 0) {
-    cluster.StartBackgroundScrub(scrub_ms);
-  }
-
-  const int kill_request =
-      kill_at < 0.0 ? -1
-                    : static_cast<int>(kill_at * static_cast<double>(requests));
-  std::printf("cluster-bench: %d shards r=%d, %d fields %s, %d clients, "
-              "%d requests",
-              shards, replicas, num_fields, dims.ToString().c_str(), clients,
-              requests);
-  if (kill_request >= 0) {
-    std::printf(", killing node %d at request %d", kill_node, kill_request);
-  }
-  std::printf("\n");
-
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> incorrect{0};
-  std::atomic<std::size_t> degraded{0};
-  std::atomic<std::size_t> hard_failures{0};
-  std::mutex report_mu;
-  std::string last_degraded_report;  // guarded by report_mu
-  std::size_t rejected = 0;
-  Rng arrivals(seed ^ 0xA5A5A5A5ULL);
-  bool killed = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < requests; ++i) {
-    if (kill_request >= 0 && i >= kill_request && !killed) {
-      cluster.KillNode(kill_node);
-      killed = true;
-    }
-    const int c = i % clients;
-    const int round = i / clients;
-    // Each client's successive requests tighten the bound down a ladder
-    // spanning 1e-1..1e-4 across the WHOLE run, so refinements keep
-    // fetching new segments after the kill — otherwise the early rounds
-    // would pull every plane in and the chaos would hit a no-op tail.
-    const int total_rounds = (requests + clients - 1) / clients;
-    const double step =
-        total_rounds > 1
-            ? static_cast<double>(round) / static_cast<double>(total_rounds - 1)
-            : 1.0;
-    const double rel = 0.1 * std::pow(10.0, -3.0 * step);
-    Rng jitter(seed ^ (1000003ULL * static_cast<std::uint64_t>(c) +
-                       static_cast<std::uint64_t>(round)));
-    const double bound = rel * jitter.Uniform(0.7, 1.0) *
-                         fields[field_of[c]].data_summary.range();
-    const Status admitted = scheduler.Submit(
-        {sessions[c].get(), bound, 0.0, "tenant" + std::to_string(c % 2),
-         "client=" + std::to_string(c) + ";round=" + std::to_string(round)},
-        [&, c, bound](const RetrievalScheduler::Response& resp) {
-          if (!resp.status.ok()) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-            // Degrade instead of dying: plan around whatever is lost and
-            // report the honest achieved bound.
-            RetrievalReport report;
-            FaultTolerantReconstructor ft(&estimator);
-            auto recovered = ft.Retrieve(fields[field_of[c]],
-                                         views[field_of[c]].get(), bound,
-                                         &report);
-            if (recovered.ok()) {
-              degraded.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<std::mutex> lock(report_mu);
-              last_degraded_report = report.ToString();
-            } else {
-              hard_failures.fetch_add(1, std::memory_order_relaxed);
-            }
-            return;
-          }
-          if (resp.refinement.has_actual && resp.refinement.bound_met &&
-              !resp.refinement.actual_bound_met) {
-            incorrect.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-    if (!admitted.ok()) {
-      ++rejected;
-    }
-    if (rate > 0.0) {
-      const double u = arrivals.NextDouble();
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(-std::log(1.0 - u) / rate));
-    }
-    if ((i + 1) % clients == 0 || i + 1 == requests) {
-      scheduler.Drain();
-    }
-  }
-  scheduler.Drain();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  cluster.StopBackgroundScrub();
-  // One synchronous repair pass: everything the kill left under-replicated
-  // is re-replicated onto the survivors, deterministically.
-  const ClusterBackend::ScrubReport repair = cluster.ScrubRepair();
-
-  const ClusterBackend::Stats cs = cluster.stats();
-  const ServiceMetrics::Snapshot m = metrics.snapshot();
-  const double throughput =
-      seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0;
-  std::printf(
-      "  requests=%d rejected=%zu failed=%zu degraded=%zu incorrect=%zu "
-      "%.3fs  %.1f req/s\n",
-      requests, rejected, failed.load(), degraded.load(), incorrect.load(),
-      seconds, throughput);
-  std::printf(
-      "  failovers=%llu retries=%llu replicas_lost=%llu "
-      "under_replicated_writes=%llu evictions=%llu probes=%llu\n",
-      static_cast<unsigned long long>(cs.failovers),
-      static_cast<unsigned long long>(cs.retries),
-      static_cast<unsigned long long>(cs.replicas_lost),
-      static_cast<unsigned long long>(cs.under_replicated_writes),
-      static_cast<unsigned long long>(cs.evictions),
-      static_cast<unsigned long long>(cs.probes));
-  std::printf(
-      "  repair pass: %llu under-replicated -> %llu repaired, %llu lost\n",
-      static_cast<unsigned long long>(repair.under_replicated),
-      static_cast<unsigned long long>(repair.repaired),
-      static_cast<unsigned long long>(repair.lost));
-  std::printf("  p50=%.2fms p99=%.2fms p999=%.2fms\n", m.latency_p50_ms,
-              m.latency_p99_ms, m.latency_p999_ms);
-  if (!last_degraded_report.empty()) {
-    std::printf("  last degraded retrieval:\n%s", last_degraded_report.c_str());
-  }
-  PrintSloReport(*obs_run.slo);
-  if (const Status st = FinishRequestTraces(obs_run); !st.ok()) {
-    return Fail(st);
-  }
-
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::ostringstream os;
-    os << "{\"benchmark\":\"serve-cluster\",\"app\":\""
-       << flags.GetString("app", "gray-scott") << "\",\"field\":\""
-       << flags.GetString("field", "D_u") << "\",\"dims\":\""
-       << dims.ToString() << "\",\"shards\":" << shards
-       << ",\"replicas\":" << replicas << ",\"fields\":" << num_fields
-       << ",\"clients\":" << clients << ",\"requests\":" << requests
-       << ",\"kill_node\":" << (kill_request >= 0 ? kill_node : -1)
-       << ",\"kill_at_request\":" << kill_request
-       << ",\"rate_rps\":" << rate << ",\"threads\":" << GlobalThreadCount()
-       << ",\"seconds\":" << seconds << ",\"throughput_rps\":" << throughput
-       << ",\"rejected\":" << rejected << ",\"failed\":" << failed.load()
-       << ",\"degraded\":" << degraded.load()
-       << ",\"incorrect\":" << incorrect.load()
-       << ",\"hard_failures\":" << hard_failures.load()
-       << ",\"failovers_total\":" << cs.failovers
-       << ",\"retries_total\":" << cs.retries
-       << ",\"replicas_lost\":" << cs.replicas_lost
-       << ",\"under_replicated_writes\":" << cs.under_replicated_writes
-       << ",\"evictions\":" << cs.evictions << ",\"probes\":" << cs.probes
-       << ",\"recoveries\":" << cs.recoveries
-       << ",\"scrub_under_replicated\":" << repair.under_replicated
-       << ",\"scrub_repaired\":" << repair.repaired
-       << ",\"scrub_lost\":" << repair.lost
-       << ",\"latency_p50_ms\":" << m.latency_p50_ms
-       << ",\"latency_p99_ms\":" << m.latency_p99_ms
-       << ",\"latency_p999_ms\":" << m.latency_p999_ms
-       << ",\"metrics\":"
-       << metrics.SnapshotJson(nullptr, nullptr, obs_run.slo.get()) << "}\n";
-    Status st = WriteFile(json_path, os.str());
-    if (!st.ok()) {
-      return Fail(st);
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return (hard_failures.load() > 0 || incorrect.load() > 0) ? 2 : 0;
-}
-
 int CmdServeBenchRetrain(const Flags& flags);  // defined below
 
 int CmdServeBench(const Flags& flags) {
+  // Flags of the removed replicated-cluster mode. Flags ignores names it
+  // does not know, so without this check they would silently run the
+  // default bench instead.
+  for (const char* gone : {"shards", "replicas", "kill-node-at"}) {
+    if (flags.Has(gone)) {
+      return Usage((std::string("serve-bench no longer accepts --") + gone)
+                       .c_str());
+    }
+  }
   if (flags.Has("retrain")) {
     return CmdServeBenchRetrain(flags);
-  }
-  if (flags.Has("shards")) {
-    return CmdServeBenchCluster(flags);
   }
   if (int rc = ApplyThreadsFlag(flags); rc != 0) {
     return rc;
@@ -2259,91 +1923,7 @@ std::string RepoArtifactDir(const std::string& root,
   return os.str();
 }
 
-// In-process cluster scrub drill: place a refactored field on a simulated
-// cluster, wipe one node's disk (kill + revive empty), and let the scrubber
-// detect and re-replicate. Exits 0 when every segment is back at full
-// replication and readable, 3 when data was lost — e.g. --replicas 1,
-// where the wiped node held the only copy.
-int CmdScrubCluster(const Flags& flags) {
-  Dims3 dims;
-  if (!ParseDims(flags.GetString("dims", "17,17,17"), &dims)) {
-    return Usage("bad --dims");
-  }
-  const int shards = flags.GetInt("shards", 4);
-  const int replicas = flags.GetInt("replicas", 2);
-  const int wipe_node = flags.GetInt("kill-node", 1);
-  if (shards <= 0 || replicas <= 0) {
-    return Usage("--shards and --replicas must be positive");
-  }
-  if (wipe_node < 0 || wipe_node >= shards) {
-    return Usage("--kill-node out of range");
-  }
-
-  auto series = GenerateSeries(flags.GetString("app", "warpx"),
-                               flags.GetString("field", "E_x"), dims, 1);
-  if (!series.ok()) {
-    return Usage(series.status().message().c_str());
-  }
-  RefactorOptions ropts;
-  ropts.num_planes = flags.GetInt("planes", 32);
-  auto artifact = Refactorer(ropts).Refactor(series.value().frames[0]);
-  if (!artifact.ok()) {
-    return Fail(artifact.status());
-  }
-  const RefactoredField& field = artifact.value();
-
-  ClusterOptions copts;
-  copts.num_nodes = shards;
-  copts.replication = replicas;
-  ClusterBackend cluster(copts);
-  const auto keys = field.segments.Keys();
-  for (const auto& key : keys) {
-    auto payload = field.segments.Get(key.first, key.second);
-    if (!payload.ok()) {
-      return Fail(payload.status());
-    }
-    Status st = cluster.PutSegment("field", key.first, key.second,
-                                   std::move(payload).value());
-    if (!st.ok()) {
-      return Fail(st);
-    }
-  }
-  std::printf("cluster scrub: %d shards r=%d, %zu segments\n", shards,
-              replicas, keys.size());
-
-  // The drill: node loses its disk, comes back empty, scrub repairs.
-  cluster.KillNode(wipe_node);
-  cluster.ReviveNode(wipe_node, /*wipe_data=*/true);
-  const ClusterBackend::ScrubReport repair = cluster.ScrubRepair();
-  std::printf("  wiped node %d: %llu scanned, %llu under-replicated, "
-              "%llu repaired, %llu LOST\n",
-              wipe_node, static_cast<unsigned long long>(repair.segments),
-              static_cast<unsigned long long>(repair.under_replicated),
-              static_cast<unsigned long long>(repair.repaired),
-              static_cast<unsigned long long>(repair.lost));
-
-  // Verify: a second pass must find nothing left to do, and every segment
-  // must still read back (checksum-verified) through the cluster.
-  const ClusterBackend::ScrubReport check = cluster.ScrubRepair();
-  std::size_t unreadable = 0;
-  for (const auto& key : keys) {
-    if (!cluster.GetSegment("field", key.first, key.second).ok()) {
-      ++unreadable;
-    }
-  }
-  std::printf("  after repair: %llu under-replicated, %llu lost, "
-              "%zu unreadable\n",
-              static_cast<unsigned long long>(check.under_replicated),
-              static_cast<unsigned long long>(check.lost), unreadable);
-  const bool bad = repair.lost > 0 || check.lost > 0 ||
-                   check.under_replicated > 0 || unreadable > 0;
-  return bad ? 3 : 0;
-}
-
 int CmdScrub(const Flags& flags) {
-  if (flags.Has("cluster")) {
-    return CmdScrubCluster(flags);
-  }
   const std::string dir = flags.GetString("dir");
   const std::string repo = flags.GetString("repo");
   if (dir.empty() == repo.empty()) {
@@ -2437,17 +2017,6 @@ void PrintHelp() {
       "            [--json FILE] [--ground-truth] [--prom FILE]\n"
       "            (in-process retrieval service benchmark; --prom keeps a\n"
       "            live Prometheus exposition refreshed every second)\n"
-      "  serve-bench  --shards N [--replicas R] [--kill-node-at F|P%%]\n"
-      "            [--kill-node ID] [--requests N] [--rate RPS]\n"
-      "            [--clients C] [--fields F] [--tenant-quota Q]\n"
-      "            [--scrub-ms MS] [--json FILE]\n"
-      "            (cluster chaos mode: replicated sharded backend, open-\n"
-      "            loop Poisson arrivals, one node killed mid-run; exits 2\n"
-      "            on incorrect reconstructions or unrecovered failures)\n"
-      "  scrub     --cluster [--shards N] [--replicas R] [--kill-node ID]\n"
-      "            [--dims NX[,NY[,NZ]]] [--planes B]\n"
-      "            (wipe-a-node repair drill on a simulated cluster; exits\n"
-      "            0 once re-replicated, 3 when segments were lost)\n"
       "  serve-bench  --retrain [--dims NX[,NY[,NZ]]] [--frames F]\n"
       "            [--baseline-requests N] [--drift-requests N]\n"
       "            [--recovery-requests N] [--epochs E] [--json FILE]\n"

@@ -9,26 +9,22 @@
 # BENCH_bitplane.json, BENCH_lossless.json, BENCH_obs.json, and
 # BENCH_serve.json there. Additional suites can be selected via
 # MGARDP_BENCH_SUITES, a space-separated subset of: pipeline bitplane
-# decompose dnn lossless storage obs serve cluster audit retrain. The
-# `serve` suite drives
-# the in-process retrieval service through the CLI (throughput and cache
-# hit rate at 1/8/64 concurrent clients) instead of a google-benchmark
-# binary; it runs traced (--trace), so BENCH_serve.json carries a
-# per-"stages" profile and BENCH_serve_trace.json holds the Chrome
-# timeline. The `obs` suite additionally prints the tracing-disabled span
-# overhead extracted from its own results. The `audit` suite trains small
-# D-MGARD/E-MGARD models and runs the error-control audit (`mgardp audit`)
-# against ground truth on both simulated applications, producing
+# decompose dnn lossless storage obs serve audit retrain. The `serve`
+# suite drives the in-process retrieval service through the CLI
+# (throughput and cache hit rate at 1/8/64 concurrent clients) instead of
+# a google-benchmark binary; it runs traced (--trace), so BENCH_serve.json
+# carries a per-"stages" profile and BENCH_serve_trace.json holds the
+# Chrome timeline. The `obs` suite additionally prints the tracing-disabled
+# span overhead extracted from its own results. The `audit` suite trains
+# small D-MGARD/E-MGARD models and runs the error-control audit (`mgardp
+# audit`) against ground truth on both simulated applications, producing
 # BENCH_audit.json with per-model violation/overfetch/tightness/drift
-# accounting. The `cluster` suite runs the kill-a-node chaos benchmark
-# (replicated sharded backend, open-loop arrivals, one node killed at 50%
-# of the request stream) and writes BENCH_cluster.json with failover,
-# degradation, and p50/p99/p999 latency accounting. The `retrain` suite
-# runs the online-retraining drill (`mgardp serve-bench --retrain`): a
-# Gray-Scott-trained model is hit with WarpX traffic mid-run, the audit
-# drift trigger refits and shadow-promotes a replacement without a
-# restart, and BENCH_retrain.json records the per-phase violation rates,
-# retrain/promotion counters, and the junk-candidate rejection proof.
+# accounting. The `retrain` suite runs the online-retraining drill
+# (`mgardp serve-bench --retrain`): a Gray-Scott-trained model is hit with
+# WarpX traffic mid-run, the audit drift trigger refits and shadow-promotes
+# a replacement without a restart, and BENCH_retrain.json records the
+# per-phase violation rates, retrain/promotion counters, and the
+# junk-candidate rejection proof.
 
 set -euo pipefail
 
@@ -60,23 +56,6 @@ for suite in ${suites}; do
       --rounds "${MGARDP_BENCH_SERVE_ROUNDS:-4}" \
       --trace "${trace_out}" \
       --json "${out}" >/dev/null
-    continue
-  fi
-  if [[ "${suite}" == "cluster" ]]; then
-    cli="${build_dir}/tools/mgardp"
-    if [[ ! -x "${cli}" ]]; then
-      echo "error: CLI binary '${cli}' not built" >&2
-      exit 1
-    fi
-    out="${out_dir}/BENCH_cluster.json"
-    echo "== cluster chaos bench -> ${out}"
-    "${cli}" serve-bench \
-      --shards "${MGARDP_BENCH_CLUSTER_SHARDS:-4}" \
-      --replicas "${MGARDP_BENCH_CLUSTER_REPLICAS:-2}" \
-      --kill-node-at "${MGARDP_BENCH_CLUSTER_KILL_AT:-50%}" \
-      --requests "${MGARDP_BENCH_CLUSTER_REQUESTS:-96}" \
-      --clients "${MGARDP_BENCH_CLUSTER_CLIENTS:-8}" \
-      --json "${out}"
     continue
   fi
   if [[ "${suite}" == "retrain" ]]; then
