@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "obs/audit.h"
+#include "obs/build_info.h"
 #include "prom_validator.h"
 #include "service/service_metrics.h"
 #include "util/histogram.h"
@@ -212,6 +213,38 @@ TEST(PromExportTest, WritePromFileReplacesAtomically) {
 TEST(PromExportTest, WritePromFileReportsBadDirectory) {
   EXPECT_FALSE(
       WritePromFile("/nonexistent-dir-for-test/out.prom", "x 1\n").ok());
+}
+
+TEST(BuildInfoTest, MetricsCarryBuildIdentityAndPassValidator) {
+  PromWriter w;
+  AppendBuildInfoMetrics(&w);
+  const std::string text = w.str();
+  EXPECT_EQ(ValidatePromExposition(text), "");
+  EXPECT_NE(text.find("# TYPE mgardp_build_info gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE mgardp_process_uptime_seconds counter\n"),
+            std::string::npos);
+  const std::string labels =
+      "mgardp_build_info{version=\"" +
+      PromWriter::EscapeLabelValue(BuildVersion()) + "\",git=\"" +
+      PromWriter::EscapeLabelValue(BuildGitDescribe()) + "\",compiler=\"" +
+      PromWriter::EscapeLabelValue(BuildCompiler()) + "\"} 1\n";
+  EXPECT_NE(text.find(labels), std::string::npos) << text;
+  EXPECT_STRNE(BuildVersion(), "");
+  EXPECT_STRNE(BuildGitDescribe(), "");
+  EXPECT_STRNE(BuildCompiler(), "");
+  // Every audit exposition leads with the build identity.
+  ErrorControlAuditor auditor;
+  EXPECT_EQ(RenderAuditPrometheus(auditor).rfind(
+                "# HELP mgardp_build_info ", 0),
+            0u);
+}
+
+TEST(BuildInfoTest, UptimeIsNonNegativeAndMonotonic) {
+  const double first = ProcessUptimeSeconds();
+  EXPECT_GE(first, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const double second = ProcessUptimeSeconds();
+  EXPECT_GE(second - first, 0.004);
 }
 
 TEST(PromFlusherTest, FlushesPeriodicallyAndStopIsIdempotent) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "service/segment_cache.h"
 #include "service/service_metrics.h"
 #include "sim/warpx.h"
+#include "storage/fault_injection.h"
 #include "storage/storage_backend.h"
 #include "util/stats.h"
 
@@ -210,6 +212,91 @@ TEST_F(RetrievalSessionTest, UnreachableBoundReturnsBestEffort) {
   for (int l = 0; l < field_.num_levels(); ++l) {
     EXPECT_EQ(info.prefix[l], field_.num_planes);
   }
+}
+
+
+// Retries that never really sleep, so fault-heavy tests stay fast.
+RetryPolicy InstantRetry(int max_attempts) {
+  RetryPolicy::Options options;
+  options.max_attempts = max_attempts;
+  RetryPolicy retry(options);
+  retry.set_sleep([](double) {});
+  return retry;
+}
+
+TEST_F(RetrievalSessionTest, TransientFaultsAreRetriedAndCounted) {
+  RetrievalSession clean("f", &field_, backend_.get(), &theory_);
+  ASSERT_TRUE(clean.Refine(1e-3 * range_, nullptr).ok());
+
+  FaultInjectingBackend flaky(backend_.get());
+  flaky.SetFault(0, 0, {FaultKind::kTransient, 2});
+  ServiceMetrics metrics;
+  RetrievalSession session("f", &field_, &flaky, &theory_, nullptr, &metrics,
+                           InstantRetry(3));
+  RetrievalSession::Refinement info;
+  auto data = session.Refine(1e-3 * range_, &info);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_TRUE(info.bound_met);
+  // Two failed attempts, then the third read landed.
+  EXPECT_EQ(metrics.snapshot().retries_total, 2u);
+  EXPECT_EQ(flaky.num_faults(FaultKind::kTransient), 2);
+  EXPECT_EQ(session.prefix(), clean.prefix());
+  EXPECT_EQ(session.lifetime_fetched_bytes(), clean.lifetime_fetched_bytes());
+}
+
+TEST_F(RetrievalSessionTest, PermanentFaultIsNotRetried) {
+  FaultInjectingBackend faulty(backend_.get());
+  faulty.SetFault(0, 0, {FaultKind::kMissing});
+  ServiceMetrics metrics;
+  RetrievalSession session("f", &field_, &faulty, &theory_, nullptr,
+                           &metrics, InstantRetry(5));
+  auto data = session.Refine(1e-3 * range_, nullptr);
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), StatusCode::kNotFound);
+  // NotFound is permanent: one read, no retries, nothing in hand.
+  EXPECT_EQ(faulty.num_gets(), 1);
+  EXPECT_EQ(metrics.snapshot().retries_total, 0u);
+  EXPECT_EQ(session.bytes_in_hand(), 0u);
+  EXPECT_TRUE(std::isinf(session.estimated_error()));
+}
+
+TEST_F(RetrievalSessionTest, FailedRefineKeepsFetchedPlanesForTheNextOne) {
+  RetrievalSession clean("f", &field_, backend_.get(), &theory_);
+  ASSERT_TRUE(clean.Refine(1e-3 * range_, nullptr).ok());
+  const std::vector<int> target = clean.prefix();
+  int planes = 0;
+  for (int n : target) {
+    planes += n;
+  }
+  // Fail the last plane the clean plan fetches from the finest level it
+  // touches, so every plane before it is fetched first.
+  int level = static_cast<int>(target.size()) - 1;
+  while (level > 0 && target[level] == 0) {
+    --level;
+  }
+  ASSERT_GT(target[level], 0);
+  const int plane = target[level] - 1;
+
+  FaultInjectingBackend faulty(backend_.get());
+  faulty.SetFault(level, plane, {FaultKind::kTransient, -1});
+  RetrievalSession session("f", &field_, &faulty, &theory_, nullptr, nullptr,
+                           InstantRetry(2));
+  ASSERT_FALSE(session.Refine(1e-3 * range_, nullptr).ok());
+  const int reads_before = faulty.num_gets();
+  // Two attempts at the flaky plane after every other plane of the plan.
+  EXPECT_EQ(reads_before, planes - 1 + 2);
+
+  faulty.ClearFaults();
+  RetrievalSession::Refinement info;
+  auto data = session.Refine(1e-3 * range_, &info);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  // Only the missing plane was read again; the rest was already in hand.
+  EXPECT_EQ(faulty.num_gets(), reads_before + 1);
+  EXPECT_EQ(info.planes_fetched, 1);
+  EXPECT_EQ(info.planes_reused, planes - 1);
+  EXPECT_EQ(session.prefix(), target);
+  EXPECT_EQ(data.value()->vector(),
+            clean.Refine(1e-3 * range_, nullptr).value()->vector());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "service/segment_cache.h"
 #include "service/service_metrics.h"
 #include "sim/warpx.h"
+#include "storage/fault_injection.h"
 #include "storage/storage_backend.h"
 #include "util/parallel.h"
 
@@ -372,6 +373,98 @@ TEST_F(RetrievalSchedulerTest, FlightRecorderAndSloObserveAdmissionAndShed) {
   EXPECT_EQ(objectives[0].name, "latency:all");
   EXPECT_EQ(objectives[0].slo.total, 3u);
   EXPECT_GE(objectives[0].slo.bad, 1u);
+}
+
+
+TEST_F(RetrievalSchedulerTest, SessionsSharingAFaultyBackendAllComplete) {
+  // Several sessions read one fault-injecting backend from concurrent
+  // workers while a seeded mix makes segments fail their first read.
+  // Retries absorb every fault: nothing fails, every session converges on
+  // the fault-free prefix, and each injected fault cost exactly one retry.
+  auto reference = NewSession(nullptr, nullptr);
+  ASSERT_TRUE(reference->Refine(1e-3 * range_, nullptr).ok());
+
+  FaultConfig config;
+  config.seed = 5;
+  config.transient_prob = 0.3;
+  config.transient_failures = 1;
+  FaultInjectingBackend flaky(backend_.get(), config);
+  ServiceMetrics metrics;
+  RetrievalScheduler::Options opts;
+  opts.retry.base_delay_ms = 0.1;
+  opts.retry.max_delay_ms = 0.1;
+  RetrievalScheduler scheduler(&metrics, opts);
+
+  constexpr int kClients = 4;
+  std::vector<std::unique_ptr<RetrievalSession>> sessions;
+  for (int c = 0; c < kClients; ++c) {
+    sessions.push_back(std::make_unique<RetrievalSession>(
+        "f", &field_, &flaky, &theory_, nullptr, &metrics));
+  }
+  std::atomic<int> failed{0};
+  for (double bound : {1e-1, 1e-2, 1e-3}) {
+    for (int c = 0; c < kClients; ++c) {
+      ASSERT_TRUE(
+          scheduler
+              .Submit({sessions[c].get(), bound * range_, 0.0,
+                       "t" + std::to_string(c % 2)},
+                      [&failed](const RetrievalScheduler::Response& resp) {
+                        if (!resp.status.ok()) {
+                          failed.fetch_add(1);
+                        }
+                      })
+              .ok());
+    }
+    scheduler.Drain();
+  }
+
+  EXPECT_EQ(failed.load(), 0);
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(sessions[c]->prefix(), reference->prefix());
+  }
+  const ServiceMetrics::Snapshot s = metrics.snapshot();
+  EXPECT_EQ(s.requests_failed, 0u);
+  EXPECT_EQ(s.requests_completed, static_cast<std::uint64_t>(3 * kClients));
+  EXPECT_GT(flaky.num_faults(FaultKind::kTransient), 0);
+  EXPECT_EQ(s.retries_total,
+            static_cast<std::uint64_t>(flaky.num_faults(FaultKind::kTransient)));
+}
+
+TEST_F(RetrievalSchedulerTest, FailedRefinementsReachCallbackAndMetrics) {
+  FaultInjectingBackend broken(backend_.get());
+  broken.SetFault(0, 0, {FaultKind::kMissing});
+  ServiceMetrics metrics;
+  RetrievalScheduler scheduler(&metrics);
+  auto healthy = NewSession(nullptr, &metrics);
+  RetrievalSession doomed("f", &field_, &broken, &theory_, nullptr,
+                          &metrics);
+
+  std::mutex mu;
+  std::vector<StatusCode> codes;
+  auto record = [&](const RetrievalScheduler::Response& resp) {
+    std::lock_guard<std::mutex> lock(mu);
+    codes.push_back(resp.status.code());
+    if (!resp.status.ok()) {
+      EXPECT_EQ(resp.data, nullptr);
+    }
+  };
+  ASSERT_TRUE(
+      scheduler.Submit({healthy.get(), 1e-3 * range_, 0.0, ""}, record).ok());
+  ASSERT_TRUE(
+      scheduler.Submit({&doomed, 1e-3 * range_, 0.0, ""}, record).ok());
+  scheduler.Drain();
+
+  ASSERT_EQ(codes.size(), 2u);
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), StatusCode::kOk), 1);
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), StatusCode::kNotFound), 1);
+  const ServiceMetrics::Snapshot s = metrics.snapshot();
+  EXPECT_EQ(s.requests_completed, 1u);
+  EXPECT_EQ(s.requests_failed, 1u);
+  EXPECT_EQ(s.latency_count, 2u);
+  // A missing segment is permanent: the scheduler's retry policy did not
+  // spend attempts on it.
+  EXPECT_EQ(s.retries_total, 0u);
+  EXPECT_EQ(broken.num_gets(), 1);
 }
 
 }  // namespace

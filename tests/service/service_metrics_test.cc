@@ -7,6 +7,7 @@
 #include <chrono>
 #include <string>
 
+#include "obs/prom_export.h"
 #include "obs/tracer.h"
 
 namespace mgardp {
@@ -143,6 +144,52 @@ TEST(ServiceMetricsTest, ResetZeroesEverything) {
   EXPECT_EQ(s.requests_completed, 0u);
   EXPECT_EQ(s.latency_count, 0u);
   EXPECT_EQ(s.latency_max_ms, 0.0);
+}
+
+
+TEST(ServiceMetricsTest, RetriesReachJsonAndPrometheus) {
+  ServiceMetrics m;
+  m.OnRetries(2);
+  m.OnRetries(3);
+  EXPECT_EQ(m.snapshot().retries_total, 5u);
+  EXPECT_NE(m.ToJson().find("\"retries_total\":5"), std::string::npos)
+      << m.ToJson();
+
+  obs::PromWriter writer;
+  AppendServiceMetricsProm(m.snapshot(), &writer);
+  EXPECT_NE(writer.str().find("# TYPE mgardp_service_retries_total counter\n"
+                              "mgardp_service_retries_total 5\n"),
+            std::string::npos)
+      << writer.str();
+  m.Reset();
+  EXPECT_EQ(m.snapshot().retries_total, 0u);
+}
+
+TEST(ServiceMetricsTest, LearningCountersAccumulate) {
+  ServiceMetrics m;
+  m.OnRetrain();
+  m.OnRetrain();
+  m.OnModelPromoted();
+  m.OnCandidateRejected();
+  m.OnModelRolledBack();
+  m.OnShadowPair(0.5);
+  m.OnShadowPair(1.5);
+
+  const ServiceMetrics::Snapshot s = m.snapshot();
+  EXPECT_EQ(s.retrains_total, 2u);
+  EXPECT_EQ(s.model_promotions, 1u);
+  EXPECT_EQ(s.candidate_rejections, 1u);
+  EXPECT_EQ(s.model_rollbacks, 1u);
+  EXPECT_EQ(s.shadow_pairs, 2u);
+  EXPECT_NEAR(s.shadow_byte_ratio_mean, 1.0, 1e-9);
+  EXPECT_LE(s.shadow_byte_ratio_p50, s.shadow_byte_ratio_p90);
+  const std::string json = s.ToJson();
+  for (const char* key :
+       {"\"retrains_total\":2", "\"model_promotions\":1",
+        "\"candidate_rejections\":1", "\"model_rollbacks\":1",
+        "\"shadow_pairs\":2"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
 }
 
 }  // namespace
