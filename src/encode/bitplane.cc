@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "encode/negabinary.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace mgardp {
 
@@ -46,6 +51,18 @@ int LevelExponent(const std::vector<double>& coefs) {
     ++e;
   }
   return e;
+}
+
+// The exponent a level is stored with: LevelExponent, raised where needed
+// so the fixed-point scale 2^(B - 2 - e) stays finite. Without the floor a
+// level whose max |c| is below about 2^(B - 1026) would overflow the scale
+// to +inf and fail to encode; with it such a level keeps fewer significant
+// digits, and its error matrix records exactly what that costs. Decode reads
+// the stored exponent, so it needs no change.
+int ScaleExponent(const std::vector<double>& coefs, int num_planes) {
+  constexpr int kMaxScaleExponent =
+      std::numeric_limits<double>::max_exponent - 1;  // 2^1023
+  return std::max(LevelExponent(coefs), num_planes - 2 - kMaxScaleExponent);
 }
 
 // Per-chunk accumulator for the error matrix: entry b holds the running
@@ -138,43 +155,156 @@ inline void EmitBlock(const std::uint64_t* nb, std::size_t i0,
   }
 }
 
-// The per-coefficient error-matrix walk. Value-identical to the reference
-// loop in EncodeScalar: that loop recomputes rec = value * inv_scale and
-// d = |c - rec| unconditionally every plane, so doing the same here --
-// with the digit test folded into a branchless masked add -- feeds the
-// accumulators the exact same doubles in the exact same order. The digit
-// bits of typical coefficients are close to random, so a data-dependent
-// branch in this loop mispredicts about half the time; the masked add is
-// what makes stats collection run at memory speed.
+// The error-matrix kernel. Entry b of a level's error matrix is the error
+// left when only the top b of the B digits are kept, and that prefix's value
+// has a closed form: FromNegabinary(w & mask[b]), with mask[b] keeping the
+// top b digits (mask[0] = 0 gives entry 0, |c|). So no plane depends on the
+// one before it, and the kernel walks the planes in passes of
+// kPlanesPerPass, looping over the coefficients inside each pass with that
+// pass's accumulators held locally, two planes to an SSE2 register. The
+// planes of a pass are independent chains, so the loop runs at the
+// vector units' throughput. Each accumulator still sees the same
+// doubles in the same coefficient order as the reference loop in
+// EncodeScalar, so the sums are bit-identical; only the order across
+// planes changes, and those accumulators are independent.
+constexpr int kPlanesPerPass = 8;
+
+// Error-matrix entries padded to whole 2-lane pairs. The pad entry, when
+// there is one, is computed and never read.
+inline int PaddedEntries(int num_planes) { return (num_planes + 2) & ~1; }
+
+// mask[b] keeps the top b of num_planes digits; the pad entry keeps them
+// all.
+void PrefixMasks(int num_planes, std::uint64_t* mask) {
+  mask[0] = 0;
+  for (int b = 1; b <= num_planes; ++b) {
+    mask[b] = ~std::uint64_t{0} << (num_planes - b);
+  }
+  for (int b = num_planes + 1; b < PaddedEntries(num_planes); ++b) {
+    mask[b] = ~std::uint64_t{0};
+  }
+}
+
+// One lane: `width` planes over coefficients [0, n). static_cast<double> is
+// the reference's own conversion, so any B converts exactly as it does.
+inline void AccumulatePass1(const double* c, const std::uint64_t* nb,
+                            std::size_t n, const std::uint64_t* mask,
+                            int width, double inv_scale, double* max_abs,
+                            double* sq_err) {
+  double x[kPlanesPerPass];
+  double s[kPlanesPerPass];
+  for (int k = 0; k < width; ++k) {
+    x[k] = max_abs[k];
+    s[k] = sq_err[k];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int k = 0; k < width; ++k) {
+      const double rec =
+          static_cast<double>(FromNegabinary(nb[i] & mask[k])) * inv_scale;
+      const double d = std::fabs(c[i] - rec);
+      x[k] = std::max(x[k], d);
+      s[k] += d * d;
+    }
+  }
+  for (int k = 0; k < width; ++k) {
+    max_abs[k] = x[k];
+    sq_err[k] = s[k];
+  }
+}
+
+#if defined(__SSE2__)
+// Largest B whose prefixes the 2-lane step converts exactly: a prefix of B
+// nega-binary digits has |value| < 2^B, and the magic-number conversion
+// below is exact for |value| < 2^51.
+constexpr int kMaxSse2Planes = 50;
+
+// Two lanes: 2 * kPairs planes over coefficients [0, n), one register pair
+// (max-abs, squared error) per two planes. SSE2 has no int64 -> double
+// conversion: adding |value| < 2^51 to the bits of 1.5 * 2^52 gives the
+// bits of the double 1.5 * 2^52 + value exactly, and subtracting
+// 1.5 * 2^52 as a double leaves value. fabs clears the sign bit, and max of
+// two non-negative, non-NaN doubles is std::max, so every lane matches the
+// one-lane step bit for bit.
+template <int kPairs>
+inline void AccumulatePass2(const double* c, const std::uint64_t* nb,
+                            std::size_t n, const std::uint64_t* mask,
+                            double inv_scale, double* max_abs,
+                            double* sq_err) {
+  const __m128i nega =
+      _mm_set1_epi64x(static_cast<long long>(kNegabinaryMask));
+  const __m128i magic_bits = _mm_set1_epi64x(0x4338000000000000LL);
+  const __m128d magic = _mm_castsi128_pd(magic_bits);
+  const __m128d abs_mask =
+      _mm_castsi128_pd(_mm_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+  const __m128d inv = _mm_set1_pd(inv_scale);
+  // The biased prefix is ((w & m) ^ nega) - nega + magic_bits. The bits of
+  // w & m and of nega & ~m are disjoint, so with u = w ^ nega it equals
+  // (u & m) + off, off = (nega & ~m) - nega + magic_bits per entry.
+  __m128i m[kPairs];
+  __m128i off[kPairs];
+  __m128d x[kPairs];
+  __m128d s[kPairs];
+  for (int k = 0; k < kPairs; ++k) {
+    m[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + 2 * k));
+    off[k] = _mm_add_epi64(_mm_andnot_si128(m[k], nega),
+                           _mm_sub_epi64(magic_bits, nega));
+    x[k] = _mm_loadu_pd(max_abs + 2 * k);
+    s[k] = _mm_loadu_pd(sq_err + 2 * k);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m128i u =
+        _mm_xor_si128(_mm_set1_epi64x(static_cast<long long>(nb[i])), nega);
+    const __m128d ci = _mm_set1_pd(c[i]);
+    for (int k = 0; k < kPairs; ++k) {
+      const __m128i biased = _mm_add_epi64(_mm_and_si128(u, m[k]), off[k]);
+      const __m128d value = _mm_sub_pd(_mm_castsi128_pd(biased), magic);
+      const __m128d d =
+          _mm_and_pd(_mm_sub_pd(ci, _mm_mul_pd(value, inv)), abs_mask);
+      x[k] = _mm_max_pd(x[k], d);
+      s[k] = _mm_add_pd(s[k], _mm_mul_pd(d, d));
+    }
+  }
+  for (int k = 0; k < kPairs; ++k) {
+    _mm_storeu_pd(max_abs + 2 * k, x[k]);
+    _mm_storeu_pd(sq_err + 2 * k, s[k]);
+  }
+}
+#endif
+
+// Adds coefficients [lo, hi) to every error-matrix entry of `acc`.
 inline void AccumulateStats(const std::vector<double>& coefs,
                             const std::uint64_t* nb, std::size_t lo,
-                            std::size_t hi, int num_planes, double inv_scale,
+                            std::size_t hi, int num_planes,
+                            const std::uint64_t* mask, double inv_scale,
                             ErrorAccumulator* acc) {
-  // Digit d of a nega-binary word contributes exactly (-2)^d.
-  std::int64_t signed_mag[64];
-  for (int d = 0; d < num_planes; ++d) {
-    const std::int64_t mag = std::int64_t{1} << d;
-    signed_mag[d] = (d & 1) ? -mag : mag;
-  }
-  double* const max_abs = acc->max_abs.data();
-  double* const sq_err = acc->sq_err.data();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::uint64_t w = nb[i];
-    const double c = coefs[i];
-    std::int64_t value = 0;  // FromNegabinary of the kept digits
-    const double d0 = std::fabs(c);
-    max_abs[0] = std::max(max_abs[0], d0);
-    sq_err[0] += d0 * d0;
-    for (int b = 1; b <= num_planes; ++b) {
-      const int digit = num_planes - b;
-      const std::int64_t take =
-          -static_cast<std::int64_t>((w >> digit) & 1u);
-      value += signed_mag[digit] & take;
-      const double rec = static_cast<double>(value) * inv_scale;
-      const double d = std::fabs(c - rec);
-      max_abs[b] = std::max(max_abs[b], d);
-      sq_err[b] += d * d;
+  const double* c = coefs.data() + lo;
+  const std::size_t n = hi - lo;
+  nb += lo;
+  const int entries = num_planes + 1;
+  for (int b0 = 0; b0 < entries; b0 += kPlanesPerPass) {
+    const int width = std::min(kPlanesPerPass, entries - b0);
+    double* const x = acc->max_abs.data() + b0;
+    double* const s = acc->sq_err.data() + b0;
+#if defined(__SSE2__)
+    if (num_planes <= kMaxSse2Planes) {
+      switch ((width + 1) / 2) {
+        case 4:
+          AccumulatePass2<4>(c, nb, n, mask + b0, inv_scale, x, s);
+          break;
+        case 3:
+          AccumulatePass2<3>(c, nb, n, mask + b0, inv_scale, x, s);
+          break;
+        case 2:
+          AccumulatePass2<2>(c, nb, n, mask + b0, inv_scale, x, s);
+          break;
+        default:
+          AccumulatePass2<1>(c, nb, n, mask + b0, inv_scale, x, s);
+          break;
+      }
+      continue;
     }
+#endif
+    AccumulatePass1(c, nb, n, mask + b0, width, inv_scale, x, s);
   }
 }
 
@@ -185,7 +315,7 @@ Result<BitplaneSet> BitplaneEncoder::Encode(const std::vector<double>& coefs,
   BitplaneSet set;
   set.num_planes = num_planes_;
   set.count = coefs.size();
-  set.exponent = LevelExponent(coefs);
+  set.exponent = ScaleExponent(coefs, num_planes_);
   const std::size_t plane_bytes = set.PlaneBytes();
   set.planes.assign(num_planes_, std::string(plane_bytes, '\0'));
 
@@ -223,27 +353,25 @@ Result<BitplaneSet> BitplaneEncoder::Encode(const std::vector<double>& coefs,
   stats->max_abs.assign(num_planes_ + 1, 0.0);
   stats->mse.assign(num_planes_ + 1, 0.0);
   const double inv_n = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-  // Nega-binary digit b contributes exactly (-2)^b, so the prefix
-  // reconstruction is linear in the digits: each coefficient's value is
-  // tracked incrementally as planes are added, instead of re-deriving it
-  // from the partial digit string every plane. Coefficients are
-  // independent, so chunks of them reduce in parallel; the fixed grain
-  // plus ordered combine keeps the sums reproducible. Chunks are
-  // 64-aligned, so the plane-emitting blocks nest inside them.
+  // Coefficients are independent, so chunks of them reduce in parallel; the
+  // fixed grain plus ordered combine keeps the sums reproducible. Chunks are
+  // 64-aligned, so the plane-emitting blocks nest inside them, and each
+  // block's words are still in L1 when its error-matrix passes read them.
+  std::uint64_t mask[64];
+  PrefixMasks(num_planes_, mask);
+  const int padded = PaddedEntries(num_planes_);
   ErrorAccumulator zero;
-  zero.max_abs.assign(num_planes_ + 1, 0.0);
-  zero.sq_err.assign(num_planes_ + 1, 0.0);
+  zero.max_abs.assign(padded, 0.0);
+  zero.sq_err.assign(padded, 0.0);
   ErrorAccumulator total = ParallelReduce<ErrorAccumulator>(
       0, n, kCoefGrain, zero,
       [&](std::size_t lo, std::size_t hi) {
-        ErrorAccumulator acc;
-        acc.max_abs.assign(num_planes_ + 1, 0.0);
-        acc.sq_err.assign(num_planes_ + 1, 0.0);
+        ErrorAccumulator acc = zero;
         for (std::size_t i0 = lo; i0 < hi; i0 += 64) {
           const std::size_t nblock = std::min<std::size_t>(64, hi - i0);
           EmitBlock(nb.data(), i0, nblock, num_planes_, &set.planes);
           AccumulateStats(coefs, nb.data(), i0, i0 + nblock, num_planes_,
-                          inv_scale, &acc);
+                          mask, inv_scale, &acc);
         }
         return acc;
       },
@@ -384,7 +512,7 @@ Result<BitplaneSet> EncodeScalar(const std::vector<double>& coefs,
   BitplaneSet set;
   set.num_planes = num_planes;
   set.count = coefs.size();
-  set.exponent = LevelExponent(coefs);
+  set.exponent = ScaleExponent(coefs, num_planes);
   set.planes.assign(num_planes, std::string(set.PlaneBytes(), '\0'));
 
   const double scale = std::ldexp(1.0, num_planes - 2 - set.exponent);

@@ -106,7 +106,15 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
   }
 
   // Fetch the delta, advancing have_ plane by plane so a failed fetch
-  // never loses the progress made before it.
+  // never loses the progress made before it. The planes fetched are
+  // counted when fetching stops, failed or not: they stay in hand, and
+  // the next refinement reuses them instead of reading them again.
+  auto count_fetched = [&] {
+    lifetime_fetched_bytes_ += ref.fetched_bytes;
+    if (metrics_ != nullptr) {
+      metrics_->OnPlanesFetched(ref.planes_fetched, ref.fetched_bytes);
+    }
+  };
   {
     MGARDP_TRACE_SPAN("session/fetch", "service");
     for (int l = 0; l < field_->num_levels(); ++l) {
@@ -127,7 +135,10 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
             cache_ != nullptr
                 ? cache_->GetOrFetch({field_id_, l, p}, fetch, &source)
                 : fetch();
-        MGARDP_RETURN_NOT_OK(payload.status());
+        if (!payload.ok()) {
+          count_fetched();
+          return payload.status();
+        }
         const std::size_t n = payload.value().size();
         if (source == SegmentCache::Source::kFetched) {
           ++ref.planes_fetched;
@@ -141,12 +152,12 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
       }
     }
   }
+  count_fetched();
 
   MGARDP_ASSIGN_OR_RETURN(Array3Dd data,
                           ReconstructFromSegments(*field_, local_, have_));
   data_ = std::move(data);
   estimate_ = plan.estimated_error;
-  lifetime_fetched_bytes_ += ref.fetched_bytes;
 
   ref.estimated_error = estimate_;
   ref.bound_met = estimate_ <= error_bound;
@@ -169,7 +180,6 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
   AuditRetrieval(*field_, audit_id, error_bound, audited, truth_, &*data_,
                  /*degraded=*/false, auditor_);
   if (metrics_ != nullptr) {
-    metrics_->OnPlanesFetched(ref.planes_fetched, ref.fetched_bytes);
     metrics_->OnPlanesReused(ref.planes_reused + ref.planes_cached,
                              ref.reused_bytes + ref.cached_bytes);
   }

@@ -21,11 +21,11 @@ void AtomicPeak(std::atomic<std::uint64_t>* peak, std::uint64_t value) {
 }  // namespace
 
 ServiceMetrics::ServiceMetrics()
-    // Latencies from microseconds to ~20 minutes at 25% resolution.
-    : latency_ms_(Histogram::Options{1e-3, 1.25, 96}),
-      // Candidate/incumbent byte ratios cluster around 1; 10% geometric
-      // buckets over [0.01, ~2e3] match the audit ratio histograms.
-      shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}) {}
+    // Candidate/incumbent byte ratios cluster around 1; 10% geometric
+    // buckets over [0.01, ~2e3] match the audit ratio histograms.
+    : shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}),
+      // Latencies from microseconds to ~20 minutes at 25% resolution.
+      latency_ms_(Histogram::Options{1e-3, 1.25, 96}) {}
 
 void ServiceMetrics::OnCacheHit(std::size_t bytes) {
   cache_hits_.fetch_add(1, kRelaxed);

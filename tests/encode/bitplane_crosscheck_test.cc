@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -136,6 +137,97 @@ TEST(BitplaneCrossCheck, ThreadCountDoesNotChangeOutput) {
   const char* env = std::getenv("MGARDP_THREADS");
   SCOPED_TRACE(std::string("MGARDP_THREADS=") + (env ? env : "(default)"));
   ExpectBitIdentical(RandomCoefs(20000, 3.0, 99), 32);
+}
+
+// ---------------------------------------------------------------------------
+// Error-matrix kernel: Encode walks the planes in register-blocked passes with
+// a closed-form prefix value, two planes per SSE2 register up to B = 50 and
+// one lane wide above. These cases pin it to the scalar reference byte for
+// byte (memcmp, which tells -0.0 from +0.0 where == cannot).
+
+void ExpectStatsBytesIdentical(const std::vector<double>& coefs,
+                               int num_planes) {
+  SCOPED_TRACE("num_planes=" + std::to_string(num_planes) +
+               " count=" + std::to_string(coefs.size()));
+  LevelErrorStats fast_stats, ref_stats;
+  auto fast = BitplaneEncoder(num_planes).Encode(coefs, &fast_stats);
+  auto ref = internal::EncodeScalar(coefs, num_planes, &ref_stats);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(fast.value().exponent, ref.value().exponent);
+  EXPECT_EQ(fast.value().planes, ref.value().planes);
+  const std::size_t entries = static_cast<std::size_t>(num_planes) + 1;
+  ASSERT_EQ(fast_stats.max_abs.size(), entries);
+  ASSERT_EQ(fast_stats.mse.size(), entries);
+  ASSERT_EQ(ref_stats.max_abs.size(), entries);
+  ASSERT_EQ(ref_stats.mse.size(), entries);
+  EXPECT_EQ(std::memcmp(fast_stats.max_abs.data(), ref_stats.max_abs.data(),
+                        entries * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(fast_stats.mse.data(), ref_stats.mse.data(),
+                        entries * sizeof(double)),
+            0);
+}
+
+// Random coefficients with a few signed zeros mixed in.
+std::vector<double> CoefsWithSignedZeros(std::size_t n, std::uint64_t seed) {
+  std::vector<double> v = RandomCoefs(n, 3.0, seed);
+  for (std::size_t i = 0; i < n; i += 37) {
+    v[i] = (i / 37) % 2 == 0 ? -0.0 : 0.0;
+  }
+  return v;
+}
+
+TEST(BitplaneCrossCheck, StatsBytesIdenticalEitherSideOfTheLaneSwitch) {
+  // B <= 50 takes the 2-lane step, B > 50 the 1-lane one.
+  for (int num_planes : {49, 50, 51, 52, 60}) {
+    ExpectStatsBytesIdentical(CoefsWithSignedZeros(517, 300 + num_planes),
+                              num_planes);
+  }
+}
+
+TEST(BitplaneCrossCheck, StatsBytesIdenticalAtPowerOfTwoMagnitudes) {
+  // Coefficients at exactly +-2^exponent quantize to +-2^(B-2), whose
+  // nega-binary prefixes reach the largest |value| any prefix can take
+  // (2^(B-1) for the top digit alone): the edge of the 2-lane int64 ->
+  // double conversion at B = 50.
+  for (int num_planes : {2, 3, 17, 32, 49, 50, 51, 60}) {
+    std::vector<double> coefs = RandomCoefs(300, 1.5, 40 + num_planes);
+    for (std::size_t i = 0; i < coefs.size(); ++i) {
+      if (i % 3 == 0) {
+        coefs[i] = (i % 2 == 0) ? 8.0 : -8.0;
+      } else {
+        coefs[i] = std::max(-8.0, std::min(8.0, coefs[i]));
+      }
+    }
+    ExpectStatsBytesIdentical(coefs, num_planes);
+    std::vector<double> negative_max(coefs.size(), -4.0);
+    negative_max[1] = 0.5;
+    ExpectStatsBytesIdentical(negative_max, num_planes);
+  }
+}
+
+TEST(BitplaneCrossCheck, StatsBytesIdenticalForTailBlocksAndChunks) {
+  // Counts that end inside a 64-coefficient block, with the last block in
+  // a chunk after the first 8192-coefficient chunk boundary.
+  for (std::size_t n : {std::size_t{8192 + 17},
+                        std::size_t{2 * 8192 + 5 * 64 + 33},
+                        std::size_t{3 * 8192 - 1}}) {
+    for (int num_planes : {32, 50, 51}) {
+      ExpectStatsBytesIdentical(CoefsWithSignedZeros(n, n + num_planes),
+                                num_planes);
+    }
+  }
+}
+
+TEST(BitplaneCrossCheck, StatsBytesIdenticalAtTheExponentFloor) {
+  // Levels below about 2^(B - 1026) are stored at the exponent floor that
+  // keeps the fixed-point scale finite; both kernels share it.
+  for (int num_planes : {8, 32, 50, 60}) {
+    ExpectStatsBytesIdentical(RandomCoefs(700, 1e-300, 9 + num_planes),
+                              num_planes);
+    ExpectStatsBytesIdentical({1e-310, -3e-320, 0.0, 4.9e-324}, num_planes);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,29 @@ TEST(BitplaneTest, FullDecodeIsNearLossless) {
   EXPECT_LE(MaxAbsError(coefs, decoded.value()), step);
 }
 
+TEST(BitplaneTest, TinyMagnitudeLevelEncodesAtTheExponentFloor) {
+  // max |c| ~ 4e-300 < 2^-994: the tight exponent would make the scale
+  // 2^(B - 2 - e) overflow to +inf. The stored exponent is raised to the
+  // floor B - 1025, the level encodes, and each error-matrix entry is
+  // exactly the error of decoding that many planes.
+  BitplaneEncoder enc(32);
+  auto coefs = RandomCoefs(1000, 1e-300, 21);
+  LevelErrorStats stats;
+  auto set = enc.Encode(coefs, &stats);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(set.value().exponent, 32 - 1025);
+  for (int b = 0; b <= 32; ++b) {
+    auto decoded = enc.Decode(set.value(), b);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(MaxAbsError(coefs, decoded.value()), stats.max_abs[b])
+        << "b=" << b;
+  }
+  // A level just above the floor keeps its tight exponent.
+  auto above = enc.Encode({std::ldexp(1.0, -990)}, nullptr);
+  ASSERT_TRUE(above.ok());
+  EXPECT_EQ(above.value().exponent, -990);
+}
+
 TEST(BitplaneTest, ZeroPlanesDecodesToZero) {
   BitplaneEncoder enc(32);
   auto coefs = RandomCoefs(100, 1.0, 2);

@@ -94,5 +94,47 @@ TEST(PipelineMonotonicityTest, MorePlanesNeverIncreaseError) {
   }
 }
 
+TEST(PipelineTinyMagnitudeTest, FieldScaledBy1e300RefactorsAndRetrieves) {
+  // Detail levels of a field scaled by 1e-300 sit below 2^-994, where the
+  // tight exponent would overflow the bit-plane scale. They are stored at
+  // the exponent floor instead; the error matrix must still bound what the
+  // decoder returns.
+  Array3Dd original = MultiscaleField(Dims3{17, 17, 17}, 5);
+  for (double& v : original.vector()) {
+    v *= 1e-300;
+  }
+  auto fr = Refactorer().Refactor(original);
+  ASSERT_TRUE(fr.ok()) << fr.status().ToString();
+  const RefactoredField& field = fr.value();
+  bool at_floor = false;
+  for (int e : field.level_exponents) {
+    at_floor = at_floor || e == field.num_planes - 1025;
+  }
+  EXPECT_TRUE(at_floor);
+
+  TheoryEstimator theory;
+  Reconstructor rec(&theory);
+  for (double rel : {1e-1, 1e-3, 1e-5}) {
+    const double bound = rel * field.data_summary.range();
+    RetrievalPlan plan;
+    auto data = rec.Retrieve(field, bound, &plan);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    const double actual =
+        MaxAbsError(original.vector(), data.value().vector());
+    EXPECT_GE(plan.estimated_error, actual) << "rel=" << rel;
+    if (plan.estimated_error <= bound) {
+      EXPECT_LE(actual, bound) << "rel=" << rel;
+    }
+  }
+  for (int b : {0, 8, 16, 32}) {
+    const std::vector<int> prefix(field.num_levels(), b);
+    auto data = ReconstructFromPrefix(field, prefix);
+    ASSERT_TRUE(data.ok());
+    EXPECT_GE(theory.Estimate(field, prefix),
+              MaxAbsError(original.vector(), data.value().vector()))
+        << "b=" << b;
+  }
+}
+
 }  // namespace
 }  // namespace mgardp

@@ -279,12 +279,22 @@ TEST_F(RetrievalSessionTest, FailedRefineKeepsFetchedPlanesForTheNextOne) {
 
   FaultInjectingBackend faulty(backend_.get());
   faulty.SetFault(level, plane, {FaultKind::kTransient, -1});
-  RetrievalSession session("f", &field_, &faulty, &theory_, nullptr, nullptr,
-                           InstantRetry(2));
+  ServiceMetrics metrics;
+  RetrievalSession session("f", &field_, &faulty, &theory_, nullptr,
+                           &metrics, InstantRetry(2));
   ASSERT_FALSE(session.Refine(1e-3 * range_, nullptr).ok());
   const int reads_before = faulty.num_gets();
   // Two attempts at the flaky plane after every other plane of the plan.
   EXPECT_EQ(reads_before, planes - 1 + 2);
+  // The planes read before the failure are counted as fetched although
+  // the call failed: the backend served them and the session keeps them.
+  std::vector<int> in_hand = target;
+  in_hand[level] = plane;
+  const SizeInterpreter sizes = MakeSizeInterpreter(field_);
+  EXPECT_EQ(session.lifetime_fetched_bytes(), sizes.TotalBytes(in_hand));
+  EXPECT_EQ(metrics.snapshot().planes_fetched,
+            static_cast<std::uint64_t>(planes - 1));
+  EXPECT_EQ(metrics.snapshot().fetched_bytes, sizes.TotalBytes(in_hand));
 
   faulty.ClearFaults();
   RetrievalSession::Refinement info;
@@ -295,6 +305,11 @@ TEST_F(RetrievalSessionTest, FailedRefineKeepsFetchedPlanesForTheNextOne) {
   EXPECT_EQ(info.planes_fetched, 1);
   EXPECT_EQ(info.planes_reused, planes - 1);
   EXPECT_EQ(session.prefix(), target);
+  // Across both calls every plane of the plan was fetched exactly once.
+  EXPECT_EQ(session.lifetime_fetched_bytes(), sizes.TotalBytes(target));
+  EXPECT_EQ(metrics.snapshot().planes_fetched,
+            static_cast<std::uint64_t>(planes));
+  EXPECT_EQ(metrics.snapshot().fetched_bytes, sizes.TotalBytes(target));
   EXPECT_EQ(data.value()->vector(),
             clean.Refine(1e-3 * range_, nullptr).value()->vector());
 }

@@ -117,6 +117,12 @@ if(NOT serve_json MATCHES "\"requests_failed\":0[,}]" OR
   message(FATAL_ERROR "serve-bench JSON reports failed requests:\n"
                       "${serve_json}")
 endif()
+# Every client-count row carries its own failed count.
+if(NOT serve_json MATCHES "\"clients\":4,[^}]*\"failed\":0," OR
+   serve_json MATCHES "\"failed\":[1-9]")
+  message(FATAL_ERROR "serve-bench JSON rows lack \"failed\":0:\n"
+                      "${serve_json}")
+endif()
 run_cli(0 trace-report --input ${WORK}/lanes.json --top 5)
 if(NOT LAST_OUT MATCHES "retained requests in")
   message(FATAL_ERROR "trace-report missing its header:\n${LAST_OUT}")

@@ -1257,6 +1257,7 @@ int CmdServeBench(const Flags& flags) {
               GlobalThreadCount());
 
   std::vector<ServeBenchResult> results;
+  bool any_failed = false;
   for (const int num_clients : client_counts) {
     ServiceMetrics metrics;
     SegmentCache::Options copts;
@@ -1346,12 +1347,11 @@ int CmdServeBench(const Flags& flags) {
       prom_metrics = nullptr;
     }
     if (r.failed > 0) {
+      // Stop here, but still write every report: the failing run is the
+      // one that most needs them. The exit code says it failed.
       std::fprintf(stderr, "error: %zu requests failed\n", r.failed);
-      if (prom_flusher != nullptr) {
-        prom_flusher->Stop();
-        g_prom_handled = true;
-      }
-      return 2;
+      any_failed = true;
+      break;
     }
   }
 
@@ -1384,7 +1384,8 @@ int CmdServeBench(const Flags& flags) {
         os << ",";
       }
       os << "{\"clients\":" << r.clients << ",\"requests\":" << r.requests
-         << ",\"rejected\":" << r.rejected << ",\"seconds\":" << r.seconds
+         << ",\"rejected\":" << r.rejected << ",\"failed\":" << r.failed
+         << ",\"seconds\":" << r.seconds
          << ",\"throughput_rps\":" << r.throughput_rps
          << ",\"cache_hit_rate\":" << r.metrics.cache_hit_rate()
          << ",\"metrics\":" << r.metrics.ToJson() << "}";
@@ -1404,7 +1405,7 @@ int CmdServeBench(const Flags& flags) {
     }
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  return any_failed ? 2 : 0;
 }
 
 int CmdTrain(const Flags& flags) {
